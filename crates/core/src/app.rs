@@ -56,8 +56,8 @@ impl SubscriptionHandle {
     /// Wraps a raw trie [`SubscriptionId`] in a handle.
     ///
     /// Driver-facing: bus drivers living outside this crate (the UDP
-    /// transport, the edge reactor) allocate subscriptions in their own
-    /// [`SubjectTrie`](infobus_subject::SubjectTrie) and hand the id out
+    /// transport) allocate subscriptions in their own
+    /// [`InterestTable`](crate::InterestTable) and hand the id out
     /// through the unified [`Bus`](crate::bus::Bus) surface. Application
     /// code never needs this — handles come from `subscribe`.
     pub fn from_raw(id: SubscriptionId) -> SubscriptionHandle {

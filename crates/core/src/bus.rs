@@ -1,8 +1,8 @@
 //! The unified, driver-independent bus surface: [`Bus`], [`Delivery`],
 //! and [`Receiver`].
 //!
-//! Four drivers run the same sans-I/O protocol engine — the simulated
-//! daemon, the in-process bus, the UDP bus, and the edge reactor — and
+//! The drivers run the same sans-I/O protocol engine — the simulated
+//! daemon, the in-process bus, and the UDP bus — and
 //! before this module each had drifted into its own front door: inproc
 //! pinned QoS and returned `(SubscriptionHandle, InprocReceiver)`, the
 //! UDP bus took QoS but returned its own `NetSubscription`, the netsim
@@ -69,6 +69,18 @@ pub struct Delivery {
 }
 
 impl Delivery {
+    /// The delivery of an in-order envelope. Subject and payload are
+    /// shared handles, so this copies no bytes.
+    pub fn of(env: &crate::Envelope) -> Delivery {
+        Delivery {
+            subject: env.subject.clone(),
+            payload: env.payload.clone(),
+            redelivery: env.redelivery,
+            qos: env.qos,
+            route: env.route,
+        }
+    }
+
     /// Unmarshals the payload. The bus publishes self-describing
     /// messages, so any type descriptors travel with the data and no
     /// pre-shared registry is needed.
@@ -109,7 +121,7 @@ pub trait Receiver: Send {
     fn recv(&self) -> Result<Delivery, RecvError>;
 
     /// Takes a delivery if one is queued, without blocking (the
-    /// non-blocking probe the reactor tier needs).
+    /// non-blocking probe a poll loop needs).
     ///
     /// # Errors
     ///
@@ -147,8 +159,8 @@ pub type BusReceiver = SubReceiver<Delivery>;
 
 /// One bus daemon, whatever drives it.
 ///
-/// Implemented by the in-process bus, the UDP bus, the edge reactor, and
-/// the netsim daemon shim. The trait is object-safe: conformance
+/// Implemented by the in-process bus, the UDP bus, and the netsim daemon
+/// shim. The trait is object-safe: conformance
 /// harnesses and benches hold `Box<dyn Bus>` and run the same assertions
 /// across every driver.
 ///

@@ -13,10 +13,10 @@ use infobus_subject::{Subject, SubjectFilter, SubscriptionId};
 use infobus_types::{wire, Value};
 
 use crate::apps::{AppEvent, TimerTarget};
+use crate::daemon::SubTarget;
 use crate::daemon::{BusDaemon, DaemonState, RMI_PORT};
 use crate::engine::discovery::PendingDiscovery;
 use crate::envelope::{Envelope, EnvelopeKind};
-use crate::interest::SubTarget;
 use crate::msg::RmiMsg;
 use crate::rmi::{CallId, Offer, RetryMode, RmiError, SelectionPolicy, ServiceObject};
 use crate::{BusError, QoS};
@@ -113,9 +113,9 @@ impl DaemonState {
     pub(crate) fn answer_discovery(&mut self, net: &mut Ctx<'_>, env: &Envelope) {
         let subject = &env.subject;
         let responders: Vec<(usize, Value)> = self
-            .trie
-            .matches(subject)
-            .filter_map(|(_, t)| match t {
+            .interest
+            .targets(subject)
+            .filter_map(|t| match t {
                 SubTarget::Responder { app_idx, info } => Some((*app_idx, info.clone())),
                 _ => None,
             })
@@ -202,9 +202,9 @@ impl DaemonState {
     pub(crate) fn answer_rmi_query(&mut self, net: &mut Ctx<'_>, env: &Envelope) {
         let subject = &env.subject;
         let services: Vec<usize> = self
-            .trie
-            .matches(subject)
-            .filter_map(|(_, t)| match t {
+            .interest
+            .targets(subject)
+            .filter_map(|t| match t {
                 SubTarget::Service { svc_idx } => Some(*svc_idx),
                 _ => None,
             })
@@ -477,7 +477,7 @@ impl DaemonState {
         self.svc_meta[svc_idx] = None;
         // Remove the trie entry pointing at this service.
         let mut to_remove = Vec::new();
-        self.trie.for_each(|id, _, t| {
+        self.interest.for_each_local(|id, t| {
             if matches!(t, SubTarget::Service { svc_idx: s } if *s == svc_idx) {
                 to_remove.push(id);
             }

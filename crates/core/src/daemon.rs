@@ -11,31 +11,34 @@
 //! ledgers, batching) lives in the sans-I/O [`Engine`](crate::engine):
 //! this module translates simulator events into engine [`Event`]s and
 //! performs the returned [`Action`]s against the simulated network
-//! ([`DaemonTransport`]). Driver-only concerns stay here and in the
-//! sibling modules: interest management (`interest`), RMI calls and
-//! services (`calls`), router links (`links`), and application hosting
-//! (`apps`).
+//! ([`DaemonTransport`]). Subscriptions and peer interest live in the
+//! shared [`InterestTable`]; this driver debounces its announcements.
+//! Driver-only concerns stay here and in the sibling modules: RMI calls
+//! and services (`calls`), router links (`links`), and application
+//! hosting (`apps`).
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use infobus_netsim::{ConnEvent, ConnId, Ctx, Datagram, Process, SegmentId, SockAddr};
 use infobus_router::{ForwardTarget, LinkId, RouteStamp, RouterEngine, RouterTimer};
-use infobus_subject::{Subject, SubjectFilter, SubjectTrie, SubscriptionId};
+use infobus_subject::{Subject, SubjectFilter, SubscriptionId};
 use infobus_types::{wire, TypeRegistry, Value};
 
 use crate::apps::{AppEvent, AppMeta, AppQueue, AppSlot, TimerTarget};
 use crate::calls::{CallPhase, CallState, SvcMeta};
 use crate::config::BusConfig;
+use crate::engine::filter::CompiledPredicate;
 use crate::engine::{
     run_sharded_actions, Action, BusStats, Event, Micros, PubSource, ShardId, ShardTransport,
     ShardedEngine, ShardedStats, TimerKind, Transport, STATS_SUBJECT_PREFIX,
 };
 use crate::envelope::{Envelope, EnvelopeKind};
-use crate::interest::SubTarget;
-use crate::msg::{Packet, RmiMsg, RouterMsg, SyncEntry};
+use crate::interest::InterestTable;
+use crate::msg::{AnnounceEntry, Packet, RmiMsg, RouterMsg, SyncEntry};
 use crate::nvstore::NvStore;
 use crate::rmi::{RmiError, ServiceObject};
 use crate::{BusError, QoS};
@@ -48,7 +51,7 @@ pub const RMI_PORT: u16 = 76;
 
 /// Reserved timer tokens.
 const TOK_ANNOUNCE: u64 = 4;
-pub(crate) const TOK_ANN_FLUSH: u64 = 6;
+const TOK_ANN_FLUSH: u64 = 6;
 const TOK_STATS: u64 = 7;
 /// Router summary refresh + route aging.
 pub(crate) const TOK_RT_SUMMARY: u64 = 8;
@@ -65,6 +68,23 @@ const TOK_SHARD_BASE: u64 = 1 << 32;
 /// The publisher slot used for daemon-originated publications (stats
 /// snapshots): not a real application index.
 const APP_STATS: usize = usize::MAX - 1;
+
+/// Debounce delay for subscription announcements.
+const ANN_FLUSH_DELAY_US: Micros = 5_000;
+
+/// What a subscription in the daemon's [`InterestTable`] routes to.
+#[derive(Debug, Clone)]
+pub(crate) enum SubTarget {
+    /// A data subscription of a local application.
+    App { app_idx: usize },
+    /// A discovery responder ("I am") with its announced info.
+    Responder { app_idx: usize, info: Value },
+    /// A locally exported service (answers RMI queries on the subject).
+    Service { svc_idx: usize },
+    /// A transient control subscription for a pending discovery or RMI
+    /// call (lets offer/announce envelopes through the interest filter).
+    Control,
+}
 
 /// Maps a shard's engine timer onto this driver's simulator timer token.
 fn shard_token(shard: ShardId, kind: TimerKind) -> u64 {
@@ -101,36 +121,15 @@ pub(crate) struct DaemonState {
     pub(crate) host32: u32,
     pub(crate) seg0: Option<SegmentId>,
     pub(crate) registry: Rc<RefCell<TypeRegistry>>,
-    pub(crate) trie: SubjectTrie<SubTarget>,
+    /// Local subscriptions (data, control, responder, and service
+    /// entries) and the filters peer daemons announced.
+    pub(crate) interest: InterestTable<SubTarget>,
     pub(crate) app_meta: Vec<Option<AppMeta>>,
-    /// Filter strings announced to peers, each carrying its live local
-    /// subscriptions `(id, predicate)` — the list derives both the
-    /// refcount (empty = withdraw) and the announced predicate
-    /// ([`DaemonState::announced_pred_for`]).
-    #[allow(clippy::type_complexity)]
-    pub(crate) my_filters: HashMap<
-        String,
-        Vec<(
-            SubscriptionId,
-            Option<std::sync::Arc<crate::engine::filter::CompiledPredicate>>,
-        )>,
-    >,
-    /// Per-subscription compiled content predicates (the delivery gate).
-    pub(crate) sub_preds:
-        HashMap<SubscriptionId, std::sync::Arc<crate::engine::filter::CompiledPredicate>>,
-    /// Semantic expansion families: the head subscription id mapped to
-    /// the sibling ids the [`SubjectMap`](infobus_router::SubjectMap)
-    /// materialized; unsubscribing the head removes them all.
-    pub(crate) expansions: HashMap<SubscriptionId, Vec<SubscriptionId>>,
     /// Filters whose announcement is pending the debounce flush (batching
     /// thousands of subscriptions into one packet).
-    pub(crate) pending_announce_add: Vec<String>,
-    pub(crate) pending_announce_remove: Vec<String>,
-    pub(crate) announce_flush_armed: bool,
-    /// Virtual time each live subscription was created (first-contact
-    /// stream policy).
-    pub(crate) sub_times: HashMap<SubscriptionId, Micros>,
-    pub(crate) peer_subs: HashMap<u32, HashMap<String, crate::interest::PeerInterest>>,
+    pending_announce_add: Vec<String>,
+    pending_announce_remove: Vec<String>,
+    announce_flush_armed: bool,
     pub(crate) calls: HashMap<u64, CallState>,
     pub(crate) conn_calls: HashMap<ConnId, u64>,
     pub(crate) services: HashMap<String, usize>,
@@ -195,22 +194,18 @@ impl DaemonState {
             .durable_dir
             .is_some()
             .then(|| NvStore::open(&cfg).expect("open guaranteed-delivery ledger mirror"));
+        let semantic = cfg.semantic_map().cloned();
         DaemonState {
             engine: ShardedEngine::new(cfg, 0),
             nv_mirror,
             host32: 0,
             seg0: None,
             registry: Rc::new(RefCell::new(TypeRegistry::with_fundamentals())),
-            trie: SubjectTrie::new(),
+            interest: InterestTable::new(semantic),
             app_meta: Vec::new(),
-            my_filters: HashMap::new(),
-            sub_preds: HashMap::new(),
-            expansions: HashMap::new(),
             pending_announce_add: Vec::new(),
             pending_announce_remove: Vec::new(),
             announce_flush_armed: false,
-            sub_times: HashMap::new(),
-            peer_subs: HashMap::new(),
             calls: HashMap::new(),
             conn_calls: HashMap::new(),
             services: HashMap::new(),
@@ -268,6 +263,112 @@ impl DaemonState {
         );
     }
 
+    // ----- interest ---------------------------------------------------------------
+
+    /// Subscribes an application, expanding the filter through the
+    /// configured [`SubjectMap`](infobus_router::SubjectMap): one call on
+    /// `EQUITY.IBM` may subscribe every synonym/broadening of the filter
+    /// too. The returned id is the family head; unsubscribing it removes
+    /// the whole family.
+    pub(crate) fn subscribe_app_expanded(
+        &mut self,
+        net: &mut Ctx<'_>,
+        app_idx: usize,
+        filter: &str,
+        pred: Option<std::sync::Arc<CompiledPredicate>>,
+    ) -> Result<SubscriptionId, BusError> {
+        let target = SubTarget::App { app_idx };
+        let (id, delta) = self.interest.subscribe(filter, target, net.now(), pred)?;
+        if let Some(Some(meta)) = self.app_meta.get_mut(app_idx) {
+            meta.subs.push(id);
+        }
+        self.queue_announce(net, delta);
+        Ok(id)
+    }
+
+    pub(crate) fn subscribe_internal(
+        &mut self,
+        net: &mut Ctx<'_>,
+        filter: &SubjectFilter,
+        target: SubTarget,
+    ) -> SubscriptionId {
+        let (id, delta) = self.interest.insert(filter, target, net.now(), None);
+        self.queue_announce(net, delta);
+        id
+    }
+
+    pub(crate) fn unsubscribe(&mut self, net: &mut Ctx<'_>, id: SubscriptionId) {
+        let delta = self.interest.unsubscribe(id);
+        for meta in self.app_meta.iter_mut().flatten() {
+            meta.subs.retain(|s| *s != id);
+        }
+        self.queue_announce(net, delta);
+    }
+
+    /// Debounces announcements: thousands of subscriptions made in one
+    /// handler (Figure 8's 10,000-subject consumers) travel in one packet.
+    fn queue_announce(&mut self, net: &mut Ctx<'_>, (add, remove): (Vec<String>, Vec<String>)) {
+        if add.is_empty() && remove.is_empty() {
+            return;
+        }
+        self.pending_announce_add.extend(add);
+        self.pending_announce_remove.extend(remove);
+        if !self.announce_flush_armed {
+            self.announce_flush_armed = true;
+            net.set_timer(ANN_FLUSH_DELAY_US, TOK_ANN_FLUSH);
+        }
+    }
+
+    fn flush_announcements(&mut self, net: &mut Ctx<'_>) {
+        self.announce_flush_armed = false;
+        let mut add = std::mem::take(&mut self.pending_announce_add);
+        let remove = std::mem::take(&mut self.pending_announce_remove);
+        // Re-announcements can queue a filter more than once; peers
+        // replace on receipt, so only the latest state matters.
+        add.sort();
+        add.dedup();
+        let add: Vec<AnnounceEntry> = add
+            .iter()
+            .filter_map(|f| self.interest.announce_entry(f))
+            .collect();
+        if add.is_empty() && remove.is_empty() {
+            return;
+        }
+        let host = self.host32;
+        let full = false;
+        self.send_packet_broadcast(
+            net,
+            &Packet::SubAnnounce {
+                host,
+                full,
+                add,
+                remove,
+            },
+        );
+    }
+
+    fn announce_full(&mut self, net: &mut Ctx<'_>) {
+        let add = self.interest.full_announce();
+        let (host, full, remove) = (self.host32, true, vec![]);
+        self.send_packet_broadcast(
+            net,
+            &Packet::SubAnnounce {
+                host,
+                full,
+                add,
+                remove,
+            },
+        );
+    }
+
+    pub(crate) fn known_subscriptions(&self) -> Vec<SubjectFilter> {
+        let known = self.interest.known_filters();
+        known
+            .iter()
+            .filter_map(|f| SubjectFilter::new(f).ok())
+            .collect()
+    }
+
     // ----- publishing -----------------------------------------------------------
 
     pub(crate) fn publish(
@@ -280,95 +381,26 @@ impl DaemonState {
     ) -> Result<(), BusError> {
         // Semantic layer: synonym subjects collapse to canonical form
         // before the trie, the engine, or the wire see them.
-        let canon;
-        let subject = match self
-            .engine
-            .config()
-            .semantic_map()
-            .and_then(|m| m.canonicalize(subject.as_str()))
-        {
-            Some(c) => {
-                self.engine.stats.sem_canonicalized += 1;
-                canon = Subject::new(&c)?;
-                &canon
-            }
-            None => subject,
+        let subject = match self.interest.canonicalize(subject.as_str()) {
+            Some(c) => self.engine.table().intern(&c)?,
+            None => self.engine.table().intern_subject(subject),
         };
-        // Publish gate: when every matching interest — local data
+        // Publish gate: when every matching interest — local
         // subscriptions and peer-announced filters — carries a rejecting
         // predicate, the publication is suppressed before marshalling
         // and sequencing. Link interest counts as unfiltered here; the
         // per-link gate runs at the forward hop, where subjects are in
         // the remote namespace.
-        if !self.publish_interest_accepts(subject, value) {
+        if !self.link_interested(&subject)
+            && !self
+                .interest
+                .publish_interest_accepts(&subject, || Some(Cow::Borrowed(value)))
+        {
             return Ok(());
         }
         let payload = wire::marshal_self_describing(value, &self.registry.borrow())
             .map_err(|e| BusError::Marshal(e.to_string()))?;
-        self.publish_payload(net, app_idx, subject, qos, EnvelopeKind::Data, 0, payload)
-    }
-
-    /// The publisher-side content gate (see
-    /// [`interest_accepts`](crate::engine::filter::interest_accepts) for
-    /// the suppression rule). Returns `true` when the publication must
-    /// be sent.
-    fn publish_interest_accepts(&mut self, subject: &Subject, value: &Value) -> bool {
-        let mut evals = 0u64;
-        let mut matched_any = false;
-        let mut accept = false;
-        for (id, t) in self.trie.matches(subject) {
-            if !matches!(t, crate::interest::SubTarget::App { .. }) {
-                continue;
-            }
-            matched_any = true;
-            match self.sub_preds.get(&id) {
-                None => {
-                    accept = true;
-                    break;
-                }
-                Some(p) => {
-                    evals += 1;
-                    if p.eval(value) {
-                        accept = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !accept {
-            'peers: for peers in self.peer_subs.values() {
-                for pi in peers.values() {
-                    if !pi.filter.matches(subject) {
-                        continue;
-                    }
-                    matched_any = true;
-                    match &pi.pred {
-                        None => {
-                            accept = true;
-                            break 'peers;
-                        }
-                        Some(p) => {
-                            evals += 1;
-                            if p.eval(value) {
-                                accept = true;
-                                break 'peers;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !accept && self.link_interested(subject) {
-            accept = true;
-        }
-        let send = accept || !matched_any;
-        self.engine.stats.filt_evals += evals;
-        if !send {
-            self.engine.stats.filt_pub_suppressed += 1;
-            self.engine.stats.filt_suppressed_bytes +=
-                crate::engine::filter::approx_wire_bytes(value) as u64;
-        }
-        send
+        self.publish_payload(net, app_idx, &subject, qos, EnvelopeKind::Data, 0, payload)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -439,7 +471,8 @@ impl DaemonState {
         if env.stream.host == self.host32 {
             return; // Our own broadcast looped back; locals were served directly.
         }
-        if !self.trie.matches_any(&env.subject) && !self.link_interested(&env.subject) {
+        let sub_at = self.interest.earliest_matching_sub(&env.subject);
+        if sub_at.is_none() && !self.link_interested(&env.subject) {
             // The cheap filter: nothing on this host (or linked bus) cares.
             self.engine.stats.filtered += 1;
             return;
@@ -448,9 +481,7 @@ impl DaemonState {
         // stream: if the stream began after our earliest matching
         // subscription we are owed it from sequence 1 (losses of early
         // messages are NAKed); otherwise we take it from here.
-        let entitled = self
-            .earliest_matching_sub(&env.subject)
-            .is_some_and(|sub_at| env.stream_start >= sub_at);
+        let entitled = sub_at.is_some_and(|sub_at| env.stream_start >= sub_at);
         let actions = self
             .engine
             .handle(net.now(), Event::Envelope { env, entitled });
@@ -463,7 +494,7 @@ impl DaemonState {
             if entry.stream.host == self.host32 {
                 continue;
             }
-            let sub_at = self.earliest_matching_sub(&entry.subject);
+            let sub_at = self.interest.earliest_matching_sub(&entry.subject);
             let actions = self
                 .engine
                 .handle(net.now(), Event::Digest { entry, sub_at });
@@ -495,18 +526,16 @@ impl DaemonState {
         env: &Envelope,
         exclude_app: Option<usize>,
     ) -> usize {
-        if env.kind != EnvelopeKind::Data {
-            return 0;
-        }
-        let targets: Vec<(SubscriptionId, usize)> = self
-            .trie
-            .matches(&env.subject)
-            .filter_map(|(id, t)| match t {
-                SubTarget::App { app_idx } if Some(*app_idx) != exclude_app => Some((id, *app_idx)),
-                _ => None,
-            })
-            .collect();
-        if targets.is_empty() {
+        let recipient = |t: &SubTarget| match *t {
+            SubTarget::App { app_idx } if Some(app_idx) != exclude_app => Some(app_idx),
+            _ => None,
+        };
+        if env.kind != EnvelopeKind::Data
+            || !self
+                .interest
+                .targets(&env.subject)
+                .any(|t| recipient(t).is_some())
+        {
             return 0;
         }
         let value = match wire::unmarshal(&env.payload, &mut self.registry.borrow_mut()) {
@@ -520,34 +549,33 @@ impl DaemonState {
         // copy. A rejected copy still counts as *consumed* for guaranteed
         // delivery — the subscriber saw and declined it, so the ledger
         // entry completes rather than retrying forever.
-        let mut delivered = 0usize;
-        let mut suppressed = 0usize;
         let ipc = net.host_config().ipc_cost(env.payload.len());
-        for (id, app_idx) in targets {
-            if let Some(p) = self.sub_preds.get(&id) {
-                self.engine.stats.filt_evals += 1;
-                if !p.eval(&value) {
-                    suppressed += 1;
-                    self.engine.stats.filt_delivery_suppressed += 1;
-                    self.engine.stats.filt_suppressed_bytes += env.payload.len() as u64;
-                    continue;
-                }
-            }
-            delivered += 1;
-            // Model the daemon→application IPC hop per recipient.
-            net.charge_cpu(ipc);
-            self.engine.stats.delivered += 1;
-            self.engine.stats.delivered_bytes += env.payload.len() as u64;
-            self.pending.push_back(AppEvent::Msg {
-                app_idx,
-                msg: crate::app::BusMessage {
-                    subject: env.subject.subject().clone(),
-                    value: value.clone(),
-                    qos: env.qos,
-                    redelivery: env.redelivery,
-                },
-            });
-        }
+        let (stats, pending) = (&mut self.engine.stats, &mut self.pending);
+        let (delivered, suppressed) = self.interest.deliver(
+            &env.subject,
+            env.payload.len(),
+            &mut Some(Some(value.clone())),
+            || None,
+            |t| {
+                let Some(app_idx) = recipient(t) else {
+                    return false;
+                };
+                // Model the daemon→application IPC hop per recipient.
+                net.charge_cpu(ipc);
+                stats.delivered += 1;
+                stats.delivered_bytes += env.payload.len() as u64;
+                pending.push_back(AppEvent::Msg {
+                    app_idx,
+                    msg: crate::app::BusMessage {
+                        subject: env.subject.subject().clone(),
+                        value: value.clone(),
+                        qos: env.qos,
+                        redelivery: env.redelivery,
+                    },
+                });
+                true
+            },
+        );
         delivered + suppressed
     }
 
@@ -572,21 +600,7 @@ impl DaemonState {
     /// the union of every shard's pending subjects (each shard only
     /// consults the subjects its own ledger slice holds).
     fn gd_retry_round(&mut self, net: &mut Ctx<'_>, shard: ShardId) {
-        let mut interest: HashMap<String, Vec<u32>> = HashMap::new();
-        for s in self.engine.gd_subjects() {
-            let Ok(subject) = Subject::new(&s) else {
-                // Invalid subject: leave it out of the map and the engine
-                // completes (abandons) its entries.
-                continue;
-            };
-            let interested: Vec<u32> = self
-                .peer_subs
-                .iter()
-                .filter(|(_, filters)| filters.values().any(|pi| pi.filter.matches(&subject)))
-                .map(|(h, _)| *h)
-                .collect();
-            interest.insert(s, interested);
-        }
+        let interest = self.interest.gd_interest(self.engine.gd_subjects());
         let actions = self.engine.handle_gd_retry(net.now(), shard, interest);
         self.apply(net, actions);
     }
@@ -625,7 +639,7 @@ impl DaemonState {
         let daemon = self.stats_daemon_name();
         // The published snapshot fans the shards in: one merged object.
         let mut stats = self.engine.merged_stats();
-        self.stamp_route_stats(&mut stats);
+        self.stamp_driver_stats(&mut stats);
         let obj = stats.to_object(&host, &daemon, net.now());
         let text = format!("{STATS_SUBJECT_PREFIX}.{host}.{daemon}");
         if let Ok(subject) = Subject::new(&text) {
@@ -745,7 +759,7 @@ impl BusDaemon {
         if let Some(nv) = &self.state.nv_mirror {
             nv.stamp_stats(&mut stats);
         }
-        self.state.stamp_route_stats(&mut stats);
+        self.state.stamp_driver_stats(&mut stats);
         stats
     }
 
@@ -756,7 +770,7 @@ impl BusDaemon {
         if let Some(nv) = &self.state.nv_mirror {
             nv.stamp_stats(&mut stats.merged);
         }
-        self.state.stamp_route_stats(&mut stats.merged);
+        self.state.stamp_driver_stats(&mut stats.merged);
         stats
     }
 
@@ -884,7 +898,12 @@ impl Process for BusDaemon {
                 add,
                 remove,
             } => {
-                self.state.handle_sub_announce(host, full, add, remove);
+                let from = dgram.src.host.0;
+                if host != self.state.host32 {
+                    self.state
+                        .interest
+                        .ingest_announce(from, host, full, add, remove);
+                }
             }
             Packet::SubResync { host } => {
                 if host != self.state.host32 {

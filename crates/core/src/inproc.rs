@@ -26,9 +26,10 @@
 //!   fan-out clones reference counts, never bytes;
 //! * engine actions append into a per-shard scratch vector whose
 //!   capacity persists across publishes;
-//! * fan-out targets come from a subject-id-keyed cache (rebuilt lazily
-//!   when the subscription set changes), so the trie walk and its
-//!   temporary vectors are off the steady-state path entirely.
+//! * fan-out targets come from the [`InterestTable`]'s subject-id-keyed
+//!   memo (rebuilt lazily when the subscription set changes), so the
+//!   trie walk and its temporary vectors are off the steady-state path
+//!   entirely.
 //!
 //! By default `publish` runs that whole chain synchronously on the
 //! calling thread. [`InprocBus::with_workers`] instead runs one worker
@@ -53,26 +54,25 @@
 //! assert_eq!(msg.value().unwrap(), Value::str("hello"));
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 
-use infobus_router::SubjectMap;
-use infobus_subject::{InternedSubject, SubjectFilter, SubjectTable, SubjectTrie, SubscriptionId};
+use infobus_subject::{InternedSubject, SubjectTable};
 use infobus_types::{wire, TypeRegistry, Value};
 
 use crate::app::SubscriptionHandle;
 use crate::buf::{BufPool, Bytes};
 use crate::bus::{Bus, BusReceiver, Delivery};
 use crate::config::BusConfig;
-use crate::engine::filter::{
-    self, approx_wire_bytes, CompiledPredicate, FilterCounters, Predicate,
-};
+use crate::engine::filter::{CompiledPredicate, Predicate};
 use crate::engine::{
     shard_of_subject, Action, BusStats, Engine, Event, Micros, PubSource, ShardedEngine,
     ShardedStats,
 };
 use crate::envelope::{Envelope, EnvelopeKind};
+use crate::interest::InterestTable;
 use crate::msg::Packet;
 use crate::nvstore::NvStore;
 use crate::queue::{sub_queue, SubReceiver, SubSender};
@@ -115,26 +115,6 @@ struct ShardSlot {
     scratch: Vec<Action>,
 }
 
-/// One subscription as stored in the trie: the subscriber's queue
-/// sender plus its compiled content predicate, if any — the per-entry
-/// delivery gate.
-#[derive(Clone)]
-struct SubEntry {
-    tx: SubSender<InprocMessage>,
-    pred: Option<Arc<CompiledPredicate>>,
-}
-
-/// The fan-out cache: dense subject id → the subscription entries
-/// matching that subject, valid for one subscription generation. Keeping
-/// entries (not trie positions) means a steady-state delivery is a
-/// read-lock, a map probe, and a refcount bump — the trie and its
-/// temporary vectors are only walked when the subscription set changed.
-struct MatchCache {
-    /// The subscription generation this map was built against.
-    gen: u64,
-    map: HashMap<u32, Arc<[SubEntry]>>,
-}
-
 // Lock discipline: every `.expect("lock poisoned")` below is deliberate.
 // A lock only poisons if a holder panicked mid-critical-section, leaving
 // engine/trie state possibly inconsistent; propagating the panic to every
@@ -147,7 +127,9 @@ struct Inner {
     /// stop contending on one state machine ([`BusConfig::shards`]
     /// shards; one — the unsharded bus — by default).
     shards: Vec<Mutex<ShardSlot>>,
-    trie: RwLock<SubjectTrie<SubEntry>>,
+    /// Every subscription, by its queue sender. One host, so no peer
+    /// ever announces anything.
+    interest: Mutex<InterestTable<SubSender<InprocMessage>>>,
     registry: Mutex<TypeRegistry>,
     /// Monotonic protocol time (the engine is sans-I/O and never reads a
     /// clock; one tick per publication is plenty for a lossless loop).
@@ -169,19 +151,6 @@ struct Inner {
     /// The one publisher identity of this bus, cached so a publish
     /// clones an `Arc<str>` instead of allocating a fresh string.
     source: PubSource,
-    /// Bumped by every subscribe/unsubscribe; invalidates `match_cache`.
-    sub_gen: AtomicU64,
-    match_cache: RwLock<MatchCache>,
-    /// Content-filter and semantic-mapping counters, folded into merged
-    /// stats snapshots (the gates run outside the shard locks).
-    filt: FilterCounters,
-    /// The semantic subject map from [`BusConfig::subject_map`]; `None`
-    /// when unset or empty (the common case — zero overhead).
-    semantic: Option<Arc<SubjectMap>>,
-    /// Extra trie insertions a semantic filter expansion created for a
-    /// subscription, keyed by the primary id so unsubscribe removes the
-    /// whole family.
-    expansions: Mutex<HashMap<SubscriptionId, Vec<SubscriptionId>>>,
     /// Worker mode: one hand-off channel per shard, indexed by shard id.
     /// `None` in the default synchronous mode. Workers hold only a
     /// [`Weak`] back-reference, so dropping the last bus handle drops
@@ -201,7 +170,7 @@ impl Inner {
             Inner {
                 shards,
                 nv: Mutex::new(nv),
-                trie: RwLock::new(SubjectTrie::new()),
+                interest: Mutex::new(InterestTable::new(semantic)),
                 registry: Mutex::new(TypeRegistry::with_fundamentals()),
                 now: AtomicU64::new(0),
                 queue_cap,
@@ -213,14 +182,6 @@ impl Inner {
                     inc: 1,
                     route: None,
                 },
-                sub_gen: AtomicU64::new(0),
-                match_cache: RwLock::new(MatchCache {
-                    gen: 0,
-                    map: HashMap::new(),
-                }),
-                filt: FilterCounters::default(),
-                semantic,
-                expansions: Mutex::new(HashMap::new()),
                 workers,
             },
             n,
@@ -359,123 +320,23 @@ impl InprocBus {
         self.subscribe_entry(filter, Some(compiled))
     }
 
-    /// The shared subscribe tail: applies the semantic map's filter
-    /// expansion (synonym aliases and taxonomy broadenings subscribe
-    /// alongside the canonical form), inserts one trie entry per
-    /// expanded filter — all sharing the queue sender and the predicate —
-    /// and records the extra ids so unsubscribe removes the family.
+    /// The shared subscribe tail: the semantic map's filter expansion
+    /// (synonym aliases and taxonomy broadenings) subscribes the queue
+    /// alongside the canonical form, as one family.
     fn subscribe_entry(
         &self,
         filter: &str,
         pred: Option<Arc<CompiledPredicate>>,
     ) -> Result<(SubscriptionHandle, InprocReceiver), BusError> {
-        let expanded = match &self.inner.semantic {
-            Some(map) => map.expand_filter(filter),
-            None => Vec::new(),
-        };
-        let filters: Vec<SubjectFilter> = if expanded.is_empty() {
-            vec![SubjectFilter::new(filter)?]
-        } else {
-            expanded
-                .iter()
-                .map(|f| SubjectFilter::new(f))
-                .collect::<Result<_, _>>()?
-        };
-        if filters.len() > 1 {
-            use std::sync::atomic::Ordering::Relaxed;
-            self.inner
-                .filt
-                .sem_expanded
-                .fetch_add((filters.len() - 1) as u64, Relaxed);
-        }
         let (tx, rx) = sub_queue(self.inner.queue_cap, self.inner.queue_dropped.clone());
-        let (primary, extra) = {
-            let mut trie = self.inner.trie.write().expect("lock poisoned");
-            let mut ids = filters.iter().map(|f| {
-                trie.insert(
-                    f,
-                    SubEntry {
-                        tx: tx.clone(),
-                        pred: pred.clone(),
-                    },
-                )
-            });
-            let primary = ids.next().expect("at least one filter");
-            (primary, ids.collect::<Vec<_>>())
-        };
-        if !extra.is_empty() {
-            self.inner
-                .expansions
-                .lock()
-                .expect("lock poisoned")
-                .insert(primary, extra);
-        }
-        self.bump_subscriptions();
-        Ok((SubscriptionHandle(primary), rx))
+        let (id, _) = self.interest().subscribe(filter, tx, 0, pred)?;
+        Ok((SubscriptionHandle(id), rx))
     }
 
     /// Removes a subscription (its channel closes once drained),
-    /// including any trie entries the semantic expansion added for it.
+    /// including any entries the semantic expansion added for it.
     pub fn unsubscribe(&self, handle: SubscriptionHandle) {
-        let extra = self
-            .inner
-            .expansions
-            .lock()
-            .expect("lock poisoned")
-            .remove(&handle.0);
-        {
-            let mut trie = self.inner.trie.write().expect("lock poisoned");
-            trie.remove(handle.0);
-            for id in extra.into_iter().flatten() {
-                trie.remove(id);
-            }
-        }
-        self.bump_subscriptions();
-    }
-
-    /// Advances the subscription generation and eagerly clears the
-    /// fan-out cache, dropping its sender clones — an unsubscribed
-    /// queue must disconnect now, not at the next cache rebuild.
-    fn bump_subscriptions(&self) {
-        let mut cache = self.inner.match_cache.write().expect("lock poisoned");
-        self.inner.sub_gen.fetch_add(1, Ordering::Release);
-        cache.map.clear();
-    }
-
-    /// The subscription entries matching `subject`, served from the
-    /// fan-out cache on the steady state (read-lock, id probe, refcount
-    /// bump — no allocation) and rebuilt from the trie when the
-    /// subscription set changed.
-    fn matching_entries(&self, subject: &InternedSubject) -> Arc<[SubEntry]> {
-        let gen = self.inner.sub_gen.load(Ordering::Acquire);
-        {
-            let cache = self.inner.match_cache.read().expect("lock poisoned");
-            if cache.gen == gen {
-                if let Some(entries) = cache.map.get(&subject.id().0) {
-                    return Arc::clone(entries);
-                }
-            }
-        }
-        // Miss: walk the trie and memoize under the subject's dense id.
-        let entries: Arc<[SubEntry]> = {
-            let trie = self.inner.trie.read().expect("lock poisoned");
-            trie.matches(subject)
-                .map(|(_, e)| e.clone())
-                .collect::<Vec<_>>()
-                .into()
-        };
-        let mut cache = self.inner.match_cache.write().expect("lock poisoned");
-        if cache.gen != gen {
-            cache.map.clear();
-            cache.gen = gen;
-        }
-        // Only memoize if no subscribe/unsubscribe raced the trie walk;
-        // a racing bump clears the map after we release the write lock,
-        // so a stale entry can never outlive the generation it matched.
-        if self.inner.sub_gen.load(Ordering::Acquire) == gen {
-            cache.map.insert(subject.id().0, Arc::clone(&entries));
-        }
-        entries
+        self.interest().unsubscribe(handle.0);
     }
 
     /// Publishes a value with the requested delivery guarantee; the
@@ -496,25 +357,12 @@ impl InprocBus {
     ///
     /// Returns [`BusError::Subject`] or [`BusError::Marshal`].
     pub fn publish(&self, subject: &str, value: &Value, qos: QoS) -> Result<usize, BusError> {
-        let subject = self.intern_canonical(subject)?;
         // Publish gate: when every matching subscription carries a
         // rejecting predicate, the publication is suppressed *here* —
         // before marshalling, sequencing, and fan-out ever run.
-        let entries = self.matching_entries(&subject);
-        if entries.iter().any(|e| e.pred.is_some()) {
-            let mut evals = 0u64;
-            let sent = filter::interest_accepts(
-                value,
-                entries.iter().map(|e| e.pred.as_deref()),
-                &mut evals,
-            );
-            self.inner
-                .filt
-                .record_publish_gate(evals, sent, approx_wire_bytes(value));
-            if !sent {
-                return Ok(0);
-            }
-        }
+        let Some(subject) = self.admit(subject, || Some(Cow::Borrowed(value)))? else {
+            return Ok(0);
+        };
         let payload = {
             let mut buf = self.inner.pool.take();
             let registry = self.inner.registry.lock().expect("lock poisoned");
@@ -541,46 +389,41 @@ impl InprocBus {
         payload: &[u8],
         qos: QoS,
     ) -> Result<usize, BusError> {
-        let subject = self.intern_canonical(subject)?;
         // Publish gate for pre-marshalled bytes: the value only exists
-        // on the wire, so unmarshal lazily and only when the gate could
-        // actually suppress (some interest, all of it predicated). An
-        // unmarshalling failure sends — the conservative direction.
-        let entries = self.matching_entries(&subject);
-        if !entries.is_empty() && entries.iter().all(|e| e.pred.is_some()) {
-            let mut registry = TypeRegistry::with_fundamentals();
-            if let Ok(value) = wire::unmarshal(payload, &mut registry) {
-                let mut evals = 0u64;
-                let sent = filter::interest_accepts(
-                    &value,
-                    entries.iter().map(|e| e.pred.as_deref()),
-                    &mut evals,
-                );
-                self.inner
-                    .filt
-                    .record_publish_gate(evals, sent, payload.len());
-                if !sent {
-                    return Ok(0);
-                }
-            }
-        }
+        // on the wire, so it is unmarshalled only when the gate could
+        // actually suppress. An unmarshalling failure sends — the
+        // conservative direction.
+        let Some(subject) = self.admit(subject, || unmarshal(payload).map(Cow::Owned))? else {
+            return Ok(0);
+        };
         let mut buf = self.inner.pool.take();
         buf.vec_mut().extend_from_slice(payload);
         self.dispatch(&subject, buf.freeze(), qos)
     }
 
     /// Interns a publish subject, first rewriting it to canonical form
-    /// when a [`SubjectMap`] is configured (synonym subjects collapse
-    /// before the trie or the wire ever see them).
-    fn intern_canonical(&self, subject: &str) -> Result<InternedSubject, BusError> {
-        if let Some(map) = &self.inner.semantic {
-            if let Some(canonical) = map.canonicalize(subject) {
-                use std::sync::atomic::Ordering::Relaxed;
-                self.inner.filt.sem_canonicalized.fetch_add(1, Relaxed);
-                return Ok(self.inner.table.intern(&canonical)?);
-            }
-        }
-        Ok(self.inner.table.intern(subject)?)
+    /// when a semantic map is configured (synonym subjects collapse
+    /// before the table or the engine see them), then runs the publish
+    /// gate (see [`InterestTable::publish_interest_accepts`]). `None`:
+    /// suppressed.
+    fn admit<'v>(
+        &self,
+        subject: &str,
+        value: impl FnOnce() -> Option<Cow<'v, Value>>,
+    ) -> Result<Option<InternedSubject>, BusError> {
+        let mut table = self.interest();
+        let canonical = table.canonicalize(subject);
+        let subject = self
+            .inner
+            .table
+            .intern(canonical.as_deref().unwrap_or(subject))?;
+        Ok(table
+            .publish_interest_accepts(&subject, value)
+            .then_some(subject))
+    }
+
+    fn interest(&self) -> std::sync::MutexGuard<'_, InterestTable<SubSender<InprocMessage>>> {
+        self.inner.interest.lock().expect("lock poisoned")
     }
 
     /// Routes an interned, marshalled publication to the owning shard —
@@ -598,7 +441,7 @@ impl InprocBus {
             // caller's view at hand-off time), then let the owning
             // shard's worker run the protocol and delivery off the
             // caller's thread.
-            let count = self.matching_entries(subject).len();
+            let count = self.interest().targets(subject).count();
             workers[shard]
                 .send(Job::Publish {
                     subject: subject.clone(),
@@ -822,50 +665,15 @@ impl InprocBus {
     /// Hands an in-order envelope to every matching subscriber channel
     /// whose predicate (if any) accepts the payload — the delivery gate.
     /// Everything cloned here is a shared handle: the interned subject,
-    /// the payload slice, the cached entry list. The payload is
-    /// unmarshalled at most once, and only when some matching entry
-    /// actually carries a predicate. Returns `(delivered, suppressed)`.
+    /// the payload slice. Returns `(delivered, suppressed)`.
     fn fan_out(&self, engine: &mut Engine, env: &Envelope) -> (usize, usize) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let entries = self.matching_entries(&env.subject);
-        let mut count = 0usize;
-        let mut suppressed = 0usize;
-        // Lazily unmarshalled payload: `None` until a predicate needs
-        // it; `Some(None)` if unmarshalling failed (then every
-        // predicate passes — delivering a payload the subscriber can
-        // diagnose beats silently eating it).
-        let mut value: Option<Option<Value>> = None;
-        for entry in entries.iter() {
-            if let Some(pred) = &entry.pred {
-                let v = value.get_or_insert_with(|| {
-                    let mut registry = TypeRegistry::with_fundamentals();
-                    wire::unmarshal(&env.payload, &mut registry).ok()
-                });
-                if let Some(v) = v {
-                    self.inner.filt.evals.fetch_add(1, Relaxed);
-                    if !pred.eval(v) {
-                        suppressed += 1;
-                        continue;
-                    }
-                }
-            }
-            let msg = Delivery {
-                subject: env.subject.clone(),
-                payload: env.payload.clone(),
-                redelivery: env.redelivery,
-                qos: env.qos,
-                route: env.route,
-            };
-            if entry.tx.send(msg).is_ok() {
-                count += 1;
-            }
-        }
-        if suppressed > 0 {
-            self.inner
-                .filt
-                .delivery_suppressed
-                .fetch_add(suppressed as u64, Relaxed);
-        }
+        let (count, suppressed) = self.interest().deliver(
+            &env.subject,
+            env.payload.len(),
+            &mut None,
+            || unmarshal(&env.payload),
+            |tx| tx.send(Delivery::of(env)).is_ok(),
+        );
         engine.stats.delivered += count as u64;
         engine.stats.delivered_bytes += (env.payload.len() * count) as u64;
         (count, suppressed)
@@ -873,7 +681,7 @@ impl InprocBus {
 
     /// Number of active subscriptions.
     pub fn subscription_count(&self) -> usize {
-        self.inner.trie.read().expect("lock poisoned").len()
+        self.interest().len()
     }
 
     /// Number of engine shards behind this bus (≥ 1).
@@ -900,15 +708,15 @@ impl InprocBus {
             .map(|m| m.lock().expect("lock poisoned").engine.stats.clone())
             .collect();
         let mut merged = BusStats::merged(per_shard.iter());
-        let trie = self.inner.trie.read().expect("lock poisoned");
+        let table = self.interest();
         let mut depth = 0u64;
-        trie.for_each(|_, _, e| depth += e.tx.queued() as u64);
+        table.for_each_local(|_, tx| depth += tx.queued() as u64);
+        table.fold_into(&mut merged);
         merged.sub_queue_depth = depth;
         merged.sub_queue_dropped = self.inner.queue_dropped.load(Ordering::Relaxed);
         merged.subj_interned = self.inner.table.len() as u64;
         merged.buf_pool_hits = self.inner.pool.hits();
         merged.buf_pool_misses = self.inner.pool.misses();
-        self.inner.filt.fold_into(&mut merged);
         self.inner
             .nv
             .lock()
@@ -916,6 +724,12 @@ impl InprocBus {
             .stamp_stats(&mut merged);
         ShardedStats { merged, per_shard }
     }
+}
+
+/// Unmarshals a self-describing payload with a fundamentals-only
+/// registry (the payload carries its own type descriptors).
+fn unmarshal(payload: &[u8]) -> Option<Value> {
+    wire::unmarshal(payload, &mut TypeRegistry::with_fundamentals()).ok()
 }
 
 /// Opens the non-volatile store `cfg` asks for, builds the loopback
@@ -1455,6 +1269,11 @@ mod tests {
         let stats = bus.stats();
         assert_eq!(stats.filt_pub_suppressed, 0);
         assert_eq!(stats.filt_delivery_suppressed, 1);
+        // The delivery gate counts the suppressed payload's bytes too.
+        let mut registry = TypeRegistry::with_fundamentals();
+        registry.register(quote_descriptor()).unwrap();
+        let payload = wire::marshal_self_describing(&quote("GMC", 10.0), &registry).unwrap();
+        assert_eq!(stats.filt_suppressed_bytes, payload.len() as u64);
     }
 
     #[test]
@@ -1503,7 +1322,7 @@ mod tests {
 
     #[test]
     fn semantic_map_canonicalizes_publishes_and_expands_filters() {
-        let mut map = SubjectMap::new();
+        let mut map = infobus_router::SubjectMap::new();
         map.add_alias("NYSE.IBM", "tech.IBM").unwrap();
         let bus = InprocBus::with_config(BusConfig::default().with_subject_map(Arc::new(map)));
         // A subscriber on the canonical subject sees synonym publishes…
@@ -1525,7 +1344,7 @@ mod tests {
 
     #[test]
     fn semantic_expansion_unsubscribes_as_a_family() {
-        let mut map = SubjectMap::new();
+        let mut map = infobus_router::SubjectMap::new();
         map.add_alias("old.path", "new.path").unwrap();
         let bus = InprocBus::with_config(BusConfig::default().with_subject_map(Arc::new(map)));
         let (sub, rx) = bus.subscribe("old.path").unwrap();

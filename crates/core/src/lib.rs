@@ -61,7 +61,7 @@ pub mod engine;
 mod envelope;
 mod fabric;
 pub mod inproc;
-mod interest;
+pub mod interest;
 mod links;
 pub mod msg;
 pub mod nvstore;
@@ -82,6 +82,7 @@ pub use envelope::{Envelope, EnvelopeKind, StreamKey};
 pub use fabric::BusFabric;
 pub use infobus_router::{SubjectMap, SubjectMapError};
 pub use infobus_wal::FsyncPolicy;
+pub use interest::InterestTable;
 pub use nvstore::NvStore;
 pub use rmi::{CallId, RetryMode, RmiError, SelectionPolicy, ServiceObject};
 

@@ -10,7 +10,6 @@
 //! `route` decision, and forwarded copies carry the engine's
 //! [`RouteStamp`] so cyclic router topologies stay loop-free.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use infobus_netsim::{ConnId, Ctx, SockAddr};
@@ -23,7 +22,7 @@ use infobus_types::{wire, Value};
 
 use crate::config::BusConfig;
 use crate::daemon::{DaemonState, RMI_PORT, TOK_RT_STAB, TOK_RT_SUMMARY};
-use crate::engine::filter::{announced_predicate, CompiledPredicate};
+use crate::engine::filter::CompiledPredicate;
 use crate::engine::BusStats;
 use crate::envelope::{Envelope, EnvelopeKind};
 use crate::msg::RouterMsg;
@@ -75,8 +74,10 @@ impl DaemonState {
                         // this side would apply (empty = unfiltered), so
                         // the remote router can gate forwards at *its*
                         // publish hop.
-                        let preds: Vec<Vec<u8>> =
-                            filters.iter().map(|f| self.summary_pred_bytes(f)).collect();
+                        let preds: Vec<Vec<u8>> = filters
+                            .iter()
+                            .map(|f| self.interest.combined_pred(f))
+                            .collect();
                         let _ = net.conn_send(
                             conn,
                             RouterMsg::Summary {
@@ -104,23 +105,6 @@ impl DaemonState {
         }
     }
 
-    /// The predicate this side's summary attaches to `filter`: the
-    /// disjunction over every local subscription and peer announcement
-    /// on the exact filter string, or unfiltered (`None`) as soon as any
-    /// source is predicate-free (see [`announced_predicate`]).
-    fn summary_pred_bytes(&self, filter: &str) -> Vec<u8> {
-        let mut sources: Vec<Option<Arc<CompiledPredicate>>> = Vec::new();
-        if let Some(subs) = self.my_filters.get(filter) {
-            sources.extend(subs.iter().map(|(_, p)| p.clone()));
-        }
-        for peers in self.peer_subs.values() {
-            if let Some(pi) = peers.get(filter) {
-                sources.push(pi.pred.clone());
-            }
-        }
-        announced_predicate(&sources).map_or_else(Vec::new, |p| p.to_bytes())
-    }
-
     /// Re-derives local interest from ground truth (this segment's own
     /// subscriptions plus everything peers announced over broadcast) and
     /// feeds it to the engine. Called at link setup and every summary
@@ -130,11 +114,7 @@ impl DaemonState {
         if self.router.is_none() {
             return;
         }
-        let mut set: BTreeSet<String> = self.my_filters.keys().cloned().collect();
-        for peers in self.peer_subs.values() {
-            set.extend(peers.keys().cloned());
-        }
-        let filters: Vec<String> = set.into_iter().collect();
+        let filters = self.interest.known_filters();
         let actions = self
             .router
             .as_mut()
@@ -385,8 +365,10 @@ impl DaemonState {
         }
     }
 
-    /// Copies the router engine's counters into a stats snapshot.
-    pub(crate) fn stamp_route_stats(&self, stats: &mut BusStats) {
+    /// Stamps the counters kept outside the engine shards: the router's
+    /// and the interest table's.
+    pub(crate) fn stamp_driver_stats(&self, stats: &mut BusStats) {
+        self.interest.fold_into(stats);
         if let Some(r) = &self.router {
             let rs = r.stats();
             stats.route_summaries_sent = rs.summaries_sent;

@@ -2,7 +2,8 @@
 //! thin-client sessions.
 //!
 //! Drives the sans-I/O [`SessionBroker`] directly — the same state
-//! machine the reactor runs, minus the socket — so the numbers measure
+//! machine a session-serving `UdpBus` runs, minus the socket — so the
+//! numbers measure
 //! the session plane itself: join rate, fan-out rate, heartbeat scan
 //! and eviction cost at six-figure session counts. Per-session state is
 //! a map entry, a cursor, and a trie subscription; no threads, no
@@ -27,7 +28,7 @@ use std::time::Instant;
 
 use infobus_core::engine::BusStats;
 use infobus_core::{BusConfig, QoS};
-use infobus_edge::{ConnId, SessOut, SessionBroker, SessionFrame, SESSION_PROTO};
+use infobus_net::{ConnId, SessOut, SessionBroker, SessionFrame, SESSION_PROTO};
 use infobus_subject::Subject;
 
 /// Subject groups ("sections" of the stadium).

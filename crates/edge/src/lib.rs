@@ -1,41 +1,29 @@
-//! The edge tier: a poll-based reactor daemon hosting long-lived
-//! thin-client sessions on top of the bus protocol.
+//! The edge tier's harnesses: the netsim daemon behind the unified
+//! [`Bus`](infobus_core::Bus) trait, the stadium bench, and the
+//! cross-driver suites.
 //!
 //! The paper's daemons assume capable peers — every participant
-//! sequences, NAKs, and keeps ledgers. An *edge* daemon extends the bus
-//! to participants that can't or shouldn't: thin clients open
-//! capability-gated sessions (`bus-v1`), subscribe and publish through
-//! tiny [`SessionFrame`]s, and the daemon runs the real protocol on
-//! their behalf. Three pieces:
+//! sequences, NAKs, and keeps ledgers. The edge tier extends the bus to
+//! participants that can't or shouldn't: thin clients open
+//! capability-gated sessions (`bus-v1`) against a
+//! [`UdpBus`](infobus_net::UdpBus) configured with
+//! [`UdpConfig::with_session_token`](infobus_net::UdpConfig::with_session_token),
+//! subscribe and publish through tiny
+//! [`SessionFrame`](infobus_net::SessionFrame)s on the daemon's own
+//! socket, and the daemon runs the real protocol on their behalf. The
+//! session codec and the sans-I/O
+//! [`SessionBroker`](infobus_net::SessionBroker) live in `infobus-net`
+//! with the driver that hosts them.
 //!
-//! * [`session`] — the `IBSS` session frame codec (distinct magic from
-//!   the `IBUS` peer frames, so both share one socket);
-//! * [`broker`] — the sans-I/O [`SessionBroker`]: hello gating, per-
-//!   session delivery cursors, cumulative acks, heartbeat eviction,
-//!   bounded backpressure (pause, then drop-with-stat);
-//! * [`reactor`] — [`ReactorBus`]: one reactor thread multiplexing a
-//!   non-blocking UDP socket, the engine timer wheel, and the broker's
-//!   freshness scan. Per-session cost is a map entry and a cursor,
-//!   never a thread — which is what lets one daemon carry 100k+
-//!   sessions (see the `stadium` bench).
-//!
-//! The crate also provides [`SimBus`], the netsim daemon behind the
-//! unified [`Bus`](infobus_core::Bus) trait, so the cross-driver
-//! conformance suite runs the simulator alongside the in-process, UDP,
-//! and reactor drivers with the same assertions.
+//! This crate provides [`SimBus`], the netsim daemon behind the unified
+//! `Bus` trait, so the cross-driver conformance suite runs the
+//! simulator alongside the in-process and UDP drivers with the same
+//! assertions; the `stadium` bench, which drives the session broker at
+//! six-figure session counts; and the conformance and session suites.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod broker;
-pub mod reactor;
-pub mod session;
 pub mod sim;
 
-pub use broker::{ConnId, SessOut, SessionBroker};
-pub use reactor::{EdgeConfig, ReactorBus};
-pub use session::{
-    decode_session_frame, encode_session_frame, is_session_frame, SessionFrame, SESSION_MAGIC,
-    SESSION_PROTO, SESSION_VERSION,
-};
 pub use sim::{SimBus, SimConfig};

@@ -1,6 +1,6 @@
 //! Cross-driver conformance: the same assertions against every driver
-//! of the unified [`Bus`] trait — the in-process bus, the UDP bus, the
-//! edge reactor, and the netsim daemon shim.
+//! of the unified [`Bus`] trait — the in-process bus, the UDP bus (bare,
+//! and serving one thin-client session), and the netsim daemon shim.
 //!
 //! The suite is written once against `Arc<dyn Bus>` pairs (publisher
 //! role, subscriber role — the same object for single-daemon drivers)
@@ -16,7 +16,7 @@
 //! shards.
 
 use std::fs;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, UdpSocket};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,8 +26,10 @@ use infobus_core::{
     shard_of_subject, Bus, BusApp, BusConfig, BusCtx, BusFabric, BusMessage, Delivery, Predicate,
     QoS, SubjectMap,
 };
-use infobus_edge::{EdgeConfig, ReactorBus, SimBus, SimConfig};
-use infobus_net::{UdpBus, UdpConfig};
+use infobus_edge::{SimBus, SimConfig};
+use infobus_net::{
+    decode_session_frame, encode_session_frame, SessionFrame, UdpBus, UdpConfig, SESSION_PROTO,
+};
 use infobus_netsim::time::{millis, secs};
 use infobus_netsim::{EtherConfig, FaultPlan, NetBuilder};
 use infobus_types::{DataObject, Value};
@@ -58,6 +60,8 @@ struct Harness {
     publisher: Arc<dyn Bus>,
     subscriber: Arc<dyn Bus>,
     settle: Duration,
+    /// The thin client attached to the subscriber, if any.
+    _session: Option<UdpSocket>,
 }
 
 fn inproc_cfg(cfg: BusConfig) -> Harness {
@@ -66,6 +70,7 @@ fn inproc_cfg(cfg: BusConfig) -> Harness {
         publisher: Arc::clone(&bus),
         subscriber: bus,
         settle: Duration::ZERO,
+        _session: None,
     }
 }
 
@@ -74,6 +79,28 @@ fn inproc(shards: usize) -> Harness {
 }
 
 fn udp_cfg(cfg: BusConfig, loss: bool) -> Harness {
+    udp_pair(cfg, loss, None)
+}
+
+fn udp(shards: usize, loss: bool) -> Harness {
+    udp_cfg(fast(shards), loss)
+}
+
+const SESSION_TOKEN: u64 = 0x5E55;
+
+/// Like [`udp_cfg`], with one thin-client session attached to the
+/// subscriber daemon. The session also subscribes to `c0.>` and never
+/// acks, so the daemon's session fan-out, backpressure and announce
+/// paths run alongside the API subscriptions under test.
+fn udp_session_cfg(cfg: BusConfig, loss: bool) -> Harness {
+    udp_pair(cfg, loss, Some("c0.>"))
+}
+
+fn udp_session(shards: usize, loss: bool) -> Harness {
+    udp_session_cfg(fast(shards), loss)
+}
+
+fn udp_pair(cfg: BusConfig, loss: bool, session: Option<&str>) -> Harness {
     let mut pub_cfg = UdpConfig::new(1).with_bus(cfg.clone()).with_app("pub");
     let mut sub_cfg = UdpConfig::new(2).with_bus(cfg).with_app("sub");
     if loss {
@@ -82,41 +109,57 @@ fn udp_cfg(cfg: BusConfig, loss: bool) -> Harness {
         sub_cfg = sub_cfg.with_recv_loss(0.25, 7);
         pub_cfg = pub_cfg.with_recv_loss(0.10, 11);
     }
+    if session.is_some() {
+        pub_cfg = pub_cfg.with_session_token(SESSION_TOKEN);
+        sub_cfg = sub_cfg.with_session_token(SESSION_TOKEN);
+    }
     let p = UdpBus::bind(pub_cfg).unwrap();
     let s = UdpBus::bind(sub_cfg).unwrap();
     p.add_peer(2, s.local_addr()).unwrap();
     s.add_peer(1, p.local_addr()).unwrap();
+    let session = session.map(|filter| attach_session(&s, filter));
     Harness {
         publisher: Arc::new(p),
         subscriber: Arc::new(s),
         settle: Duration::from_millis(100),
+        _session: session,
     }
 }
 
-fn udp(shards: usize, loss: bool) -> Harness {
-    udp_cfg(fast(shards), loss)
-}
-
-fn reactor_cfg(cfg: BusConfig, loss: bool) -> Harness {
-    let mut pub_cfg = EdgeConfig::new(1).with_bus(cfg.clone()).with_app("pub");
-    let mut sub_cfg = EdgeConfig::new(2).with_bus(cfg).with_app("sub");
-    if loss {
-        sub_cfg = sub_cfg.with_recv_loss(0.25, 7);
-        pub_cfg = pub_cfg.with_recv_loss(0.10, 11);
+/// Opens a thin-client session on `bus` subscribed to `filter`;
+/// returns the client's socket. Frames are resent until they take,
+/// since the daemon may be configured to lose inbound datagrams.
+fn attach_session(bus: &UdpBus, filter: &str) -> UdpSocket {
+    let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+    sock.connect(bus.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let hello = encode_session_frame(&SessionFrame::Hello {
+        proto: SESSION_PROTO.into(),
+        token: SESSION_TOKEN,
+        client: "thin".into(),
+    });
+    let mut buf = [0u8; 2048];
+    let welcomed = (0..200).any(|_| {
+        sock.send(&hello).unwrap();
+        sock.recv(&mut buf).is_ok_and(|n| {
+            matches!(
+                decode_session_frame(&buf[..n]),
+                Ok(SessionFrame::Welcome { .. })
+            )
+        })
+    });
+    assert!(welcomed, "session never welcomed");
+    let subscribe = encode_session_frame(&SessionFrame::Subscribe {
+        sub: 1,
+        filter: filter.into(),
+        pred: vec![],
+    });
+    // Re-subscribing under the same id replaces the subscription.
+    for _ in 0..5 {
+        sock.send(&subscribe).unwrap();
     }
-    let p = ReactorBus::bind(pub_cfg).unwrap();
-    let s = ReactorBus::bind(sub_cfg).unwrap();
-    p.add_peer(2, s.local_addr()).unwrap();
-    s.add_peer(1, p.local_addr()).unwrap();
-    Harness {
-        publisher: Arc::new(p),
-        subscriber: Arc::new(s),
-        settle: Duration::from_millis(100),
-    }
-}
-
-fn reactor(shards: usize, loss: bool) -> Harness {
-    reactor_cfg(fast(shards), loss)
+    sock
 }
 
 fn sim_cfg(cfg: BusConfig, lossy: bool) -> Harness {
@@ -138,6 +181,7 @@ fn sim_cfg(cfg: BusConfig, lossy: bool) -> Harness {
         publisher: Arc::clone(&bus),
         subscriber: bus,
         settle: Duration::ZERO,
+        _session: None,
     }
 }
 
@@ -225,13 +269,13 @@ fn udp_ordered_shard4() {
 }
 
 #[test]
-fn reactor_ordered_shard1() {
-    ordered_exactly_once(&reactor(1, false), QoS::Reliable);
+fn udp_session_ordered_shard1() {
+    ordered_exactly_once(&udp_session(1, false), QoS::Reliable);
 }
 
 #[test]
-fn reactor_ordered_shard4() {
-    ordered_exactly_once(&reactor(4, false), QoS::Reliable);
+fn udp_session_ordered_shard4() {
+    ordered_exactly_once(&udp_session(4, false), QoS::Reliable);
 }
 
 #[test]
@@ -262,8 +306,8 @@ fn udp_nak_repair_shard4() {
 }
 
 #[test]
-fn reactor_nak_repair_shard1() {
-    let h = reactor(1, true);
+fn udp_session_nak_repair_shard1() {
+    let h = udp_session(1, true);
     ordered_exactly_once(&h, QoS::Reliable);
     assert!(
         h.subscriber.stats().naks_sent > 0,
@@ -272,8 +316,8 @@ fn reactor_nak_repair_shard1() {
 }
 
 #[test]
-fn reactor_nak_repair_shard4() {
-    ordered_exactly_once(&reactor(4, true), QoS::Reliable);
+fn udp_session_nak_repair_shard4() {
+    ordered_exactly_once(&udp_session(4, true), QoS::Reliable);
 }
 
 #[test]
@@ -290,7 +334,12 @@ fn sim_lossy_shard4() {
 
 #[test]
 fn guaranteed_qos_all_drivers() {
-    for h in [inproc(4), udp(4, false), reactor(4, false), sim(4, false)] {
+    for h in [
+        inproc(4),
+        udp(4, false),
+        udp_session(4, false),
+        sim(4, false),
+    ] {
         ordered_exactly_once(&h, QoS::Guaranteed);
     }
 }
@@ -314,11 +363,17 @@ fn durable_udp(dir: &Path, shards: usize) -> Arc<dyn Bus> {
     Arc::new(UdpBus::bind(cfg).unwrap())
 }
 
-fn durable_reactor(dir: &Path, shards: usize) -> Arc<dyn Bus> {
-    let cfg = EdgeConfig::new(9)
+/// A durable daemon serving one thin-client session on a filter
+/// disjoint from the orphaned streams (a session taking delivery would
+/// complete them).
+fn durable_udp_session(dir: &Path, shards: usize) -> Arc<dyn Bus> {
+    let cfg = UdpConfig::new(9)
         .with_bus(fast(shards).with_durable_dir(dir))
-        .with_app("dur");
-    Arc::new(ReactorBus::bind(cfg).unwrap())
+        .with_app("dur")
+        .with_session_token(SESSION_TOKEN);
+    let bus = UdpBus::bind(cfg).unwrap();
+    attach_session(&bus, "sess.>");
+    Arc::new(bus)
 }
 
 /// The shared durable-restart body: publish orphaned guaranteed
@@ -394,13 +449,13 @@ fn udp_durable_restart_shard4() {
 }
 
 #[test]
-fn reactor_durable_restart_shard1() {
-    durable_restart_replays(&durable_reactor, 1);
+fn udp_session_durable_restart_shard1() {
+    durable_restart_replays(&durable_udp_session, 1);
 }
 
 #[test]
-fn reactor_durable_restart_shard4() {
-    durable_restart_replays(&durable_reactor, 4);
+fn udp_session_durable_restart_shard4() {
+    durable_restart_replays(&durable_udp_session, 4);
 }
 
 /// Subject-level version of the wipe for the socket drivers: after one
@@ -489,22 +544,30 @@ fn udp_durable_wipe_redelivers_survivors() {
 }
 
 #[test]
-fn reactor_durable_wipe_redelivers_survivors() {
+fn udp_session_durable_wipe_redelivers_survivors() {
     durable_wipe_redelivers_survivors(
-        &|dir| durable_reactor(dir, 4),
+        &|dir| durable_udp_session(dir, 4),
         &|| {
-            let s =
-                ReactorBus::bind(EdgeConfig::new(8).with_bus(fast(4)).with_app("wsub")).unwrap();
+            let s = UdpBus::bind(
+                UdpConfig::new(8)
+                    .with_bus(fast(4))
+                    .with_app("wsub")
+                    .with_session_token(SESSION_TOKEN),
+            )
+            .unwrap();
+            attach_session(&s, "sess.>");
             let addr = s.local_addr();
             (Arc::new(s) as Arc<dyn Bus>, addr)
         },
         &|dir, addr| {
-            let p = ReactorBus::bind(
-                EdgeConfig::new(9)
+            let p = UdpBus::bind(
+                UdpConfig::new(9)
                     .with_bus(fast(4).with_durable_dir(dir))
-                    .with_app("dur"),
+                    .with_app("dur")
+                    .with_session_token(SESSION_TOKEN),
             )
             .unwrap();
+            attach_session(&p, "sess.>");
             p.add_peer(8, addr).unwrap();
             Arc::new(p)
         },
@@ -721,13 +784,13 @@ fn udp_filtered_shard4() {
 }
 
 #[test]
-fn reactor_filtered_shard1() {
-    filtered_ordered_exactly_once(&reactor(1, false), QoS::Reliable);
+fn udp_session_filtered_shard1() {
+    filtered_ordered_exactly_once(&udp_session(1, false), QoS::Reliable);
 }
 
 #[test]
-fn reactor_filtered_shard4() {
-    filtered_ordered_exactly_once(&reactor(4, false), QoS::Reliable);
+fn udp_session_filtered_shard4() {
+    filtered_ordered_exactly_once(&udp_session(4, false), QoS::Reliable);
 }
 
 #[test]
@@ -746,7 +809,12 @@ fn sim_filtered_shard4() {
 /// never as an undeliverable envelope stuck in retry.
 #[test]
 fn filtered_guaranteed_all_drivers() {
-    for h in [inproc(4), udp(4, false), reactor(4, false), sim(4, false)] {
+    for h in [
+        inproc(4),
+        udp(4, false),
+        udp_session(4, false),
+        sim(4, false),
+    ] {
         filtered_ordered_exactly_once(&h, QoS::Guaranteed);
         let end = Instant::now() + Duration::from_secs(30);
         while h.publisher.stats().gd_pending > 0 {
@@ -777,8 +845,8 @@ fn udp_filtered_suppresses_at_publisher() {
 }
 
 #[test]
-fn reactor_filtered_suppresses_at_publisher() {
-    let h = reactor(4, false);
+fn udp_session_filtered_suppresses_at_publisher() {
+    let h = udp_session(4, false);
     filtered_ordered_exactly_once(&h, QoS::Reliable);
     let stats = h.publisher.stats();
     assert!(
@@ -796,8 +864,8 @@ fn udp_filtered_nak_repair_shard4() {
 }
 
 #[test]
-fn reactor_filtered_nak_repair_shard4() {
-    filtered_ordered_exactly_once(&reactor(4, true), QoS::Reliable);
+fn udp_session_filtered_nak_repair_shard4() {
+    filtered_ordered_exactly_once(&udp_session(4, true), QoS::Reliable);
 }
 
 #[test]
@@ -859,8 +927,8 @@ fn udp_semantic_alias() {
 }
 
 #[test]
-fn reactor_semantic_alias() {
-    semantic_alias_converges(&reactor_cfg(semantic_cfg(4), false));
+fn udp_session_semantic_alias() {
+    semantic_alias_converges(&udp_session_cfg(semantic_cfg(4), false));
 }
 
 #[test]
@@ -934,11 +1002,19 @@ fn udp_attribute_predicate() {
 }
 
 #[test]
-fn reactor_attribute_predicate() {
-    let p = ReactorBus::bind(EdgeConfig::new(1).with_bus(fast(2)).with_app("pub")).unwrap();
-    let s = ReactorBus::bind(EdgeConfig::new(2).with_bus(fast(2)).with_app("sub")).unwrap();
+fn udp_session_attribute_predicate() {
+    let cfg = |host| {
+        UdpConfig::new(host)
+            .with_bus(fast(2))
+            .with_session_token(SESSION_TOKEN)
+    };
+    let p = UdpBus::bind(cfg(1)).unwrap();
+    let s = UdpBus::bind(cfg(2)).unwrap();
     p.add_peer(2, s.local_addr()).unwrap();
     s.add_peer(1, p.local_addr()).unwrap();
     p.register_type(quote_descriptor()).unwrap();
+    // An unfiltered session on the quotes would defeat the publisher's
+    // gate; this one watches other traffic.
+    let _client = attach_session(&s, "sess.>");
     attribute_predicate_gates_remote_publisher(&p, &s);
 }

@@ -1,14 +1,14 @@
-//! End-to-end session lifecycle against a live [`ReactorBus`]: a thin
-//! client speaking raw `IBSS` datagrams from a plain [`UdpSocket`] —
-//! no bus library on the client side at all, which is the point of the
-//! edge tier.
+//! End-to-end session lifecycle against a live session-serving
+//! [`UdpBus`]: a thin client speaking raw `IBSS` datagrams from a plain
+//! [`UdpSocket`] — no bus library on the client side at all, which is
+//! the point of the edge tier.
 
 use std::net::UdpSocket;
 use std::time::Duration;
 
 use infobus_core::{BusConfig, QoS};
-use infobus_edge::{
-    decode_session_frame, encode_session_frame, EdgeConfig, ReactorBus, SessionFrame, SESSION_PROTO,
+use infobus_net::{
+    decode_session_frame, encode_session_frame, SessionFrame, UdpBus, UdpConfig, SESSION_PROTO,
 };
 use infobus_types::Value;
 
@@ -92,12 +92,7 @@ impl Client {
 
 #[test]
 fn handshake_subscribe_deliver_ack_and_fan_in() {
-    let edge = ReactorBus::bind(
-        EdgeConfig::new(1)
-            .with_bus(fast())
-            .with_session_token(TOKEN),
-    )
-    .unwrap();
+    let edge = UdpBus::bind(UdpConfig::new(1).with_bus(fast()).with_session_token(TOKEN)).unwrap();
     let client = Client::connect(edge.local_addr());
     client.hello();
 
@@ -163,12 +158,7 @@ fn handshake_subscribe_deliver_ack_and_fan_in() {
 
 #[test]
 fn capability_gate_rejects_and_unknown_sessions_get_evict() {
-    let edge = ReactorBus::bind(
-        EdgeConfig::new(1)
-            .with_bus(fast())
-            .with_session_token(TOKEN),
-    )
-    .unwrap();
+    let edge = UdpBus::bind(UdpConfig::new(1).with_bus(fast()).with_session_token(TOKEN)).unwrap();
 
     // Wrong token → Reject.
     let bad = Client::connect(edge.local_addr());
@@ -198,8 +188,8 @@ fn capability_gate_rejects_and_unknown_sessions_get_evict() {
 
 #[test]
 fn missed_heartbeats_evict_the_session() {
-    let edge = ReactorBus::bind(
-        EdgeConfig::new(1)
+    let edge = UdpBus::bind(
+        UdpConfig::new(1)
             .with_bus(
                 fast()
                     .with_session_timeout_us(300_000)
@@ -236,8 +226,8 @@ fn missed_heartbeats_evict_the_session() {
 
 #[test]
 fn backpressure_pauses_then_drops_with_stats() {
-    let edge = ReactorBus::bind(
-        EdgeConfig::new(1)
+    let edge = UdpBus::bind(
+        UdpConfig::new(1)
             // A long session timeout: this client is deliberately
             // silent between bursts and must not be evicted mid-test.
             .with_bus(
@@ -280,9 +270,9 @@ fn session_interest_draws_cross_daemon_traffic() {
     // The session's filter is announced to peers like any API
     // subscription: a publish on a *remote* daemon reaches the thin
     // client through the edge daemon.
-    let remote = ReactorBus::bind(EdgeConfig::new(1).with_bus(fast()).with_app("remote")).unwrap();
-    let edge = ReactorBus::bind(
-        EdgeConfig::new(2)
+    let remote = UdpBus::bind(UdpConfig::new(1).with_bus(fast()).with_app("remote")).unwrap();
+    let edge = UdpBus::bind(
+        UdpConfig::new(2)
             .with_bus(fast())
             .with_app("edge")
             .with_session_token(TOKEN),
@@ -311,5 +301,56 @@ fn session_interest_draws_cross_daemon_traffic() {
             assert_eq!(subject, "wan.quote");
         }
         other => panic!("expected Deliver, got {other:?}"),
+    }
+}
+
+#[test]
+fn lost_announcement_heals_through_the_periodic_refresh() {
+    // Reserve an address for the publisher, then free it: the edge's
+    // only announcement of the session's filter goes to a peer that is
+    // not bound yet and is lost.
+    let pub_addr = UdpSocket::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let period_us = 100_000u64;
+    let edge = UdpBus::bind(
+        UdpConfig::new(2)
+            .with_bus(fast().with_announce_period_us(period_us))
+            .with_peer(1, pub_addr)
+            .with_session_token(TOKEN),
+    )
+    .unwrap();
+    let client = Client::connect(edge.local_addr());
+    client.hello();
+    client.send(&SessionFrame::Subscribe {
+        sub: 1,
+        filter: "gd.>".into(),
+        pred: vec![],
+    });
+    std::thread::sleep(Duration::from_millis(50));
+
+    // The publisher binds afterwards and knows no peers: it can learn
+    // of the session's interest only from the edge's periodic refresh.
+    let publisher = UdpBus::bind(
+        UdpConfig::new(1)
+            .with_bus(fast().with_announce_period_us(period_us))
+            .with_bind(pub_addr),
+    )
+    .unwrap();
+    publisher
+        .publish("gd.order", &Value::I64(1), QoS::Guaranteed)
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_micros(10 * period_us);
+    loop {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        assert!(
+            !left.is_zero(),
+            "guaranteed publication never reached the session"
+        );
+        if let Some(SessionFrame::Deliver { subject, .. }) = client.recv_within(1) {
+            assert_eq!(subject, "gd.order");
+            break;
+        }
     }
 }

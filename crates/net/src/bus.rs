@@ -7,27 +7,36 @@
 //! * the **engine** decides (sequencing, NAK repair, dedup, guaranteed
 //!   delivery, batching) — identical state machines to the simulator's
 //!   daemon and the in-process bus;
+//! * the [`InterestTable`] knows who wants what: local subscriptions,
+//!   the filters peer daemons announced, and the content gates;
+//! * the optional [`SessionBroker`] runs thin-client sessions
+//!   ([`UdpConfig::with_session_token`]), whose frames share the socket
+//!   and are told apart by their magic;
 //! * this module **performs**: frames packets onto the socket (with
 //!   bounded send retry), decodes inbound datagrams truncation-safely,
 //!   keeps a [`TimerWheel`] of engine deadlines against the monotonic
 //!   [`MonoClock`], fans deliverable envelopes out to per-subscriber
-//!   drop-oldest queues, and tracks peer addresses and remote
-//!   subscription tables for broadcast fallback and guaranteed-delivery
-//!   interest.
+//!   drop-oldest queues and sessions, and tracks peer addresses.
 //!
-//! Lock order is `engine → {trie, peers, peer_subs, timers, nv}`;
-//! none of the inner locks is ever held while taking the engine lock, so
-//! the publish path (caller thread) and the reader thread cannot
-//! deadlock.
+//! The reader thread blocks on the socket until the next engine timer
+//! or session scan is due, so an idle daemon costs no CPU and a
+//! datagram after an idle period is read at once. Per-session cost is a
+//! map entry and a cursor, never a thread, which is what lets one daemon
+//! host 100k+ sessions (see the `stadium` bench).
+//!
+//! Lock order is `engine → {interest, sessions, peers, timers, nv}`;
+//! none of the inner locks is ever held while taking the engine lock or
+//! another inner lock, so the publish path (caller thread) and the
+//! reader thread cannot deadlock.
 
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use infobus_core::engine::filter::{announced_predicate, approx_wire_bytes, FilterCounters};
 use infobus_core::engine::{
     run_sharded_actions, Action, BusStats, Event, Micros, PubSource, ShardId, ShardTransport,
     ShardedEngine, ShardedStats, TimerKind, Transport,
@@ -37,14 +46,16 @@ use infobus_core::queue::{sub_queue, SubReceiver, SubSender};
 use infobus_core::router::RouteStamp;
 use infobus_core::{
     BufPool, Bus, BusConfig, BusError, BusReceiver, Bytes, CompiledPredicate, Delivery, Envelope,
-    EnvelopeKind, NvStore, Predicate, QoS, SubjectMap, SubscriptionHandle,
+    EnvelopeKind, InterestTable, NvStore, Predicate, QoS, SubscriptionHandle,
 };
-use infobus_subject::{Subject, SubjectFilter, SubjectTrie, SubscriptionId};
+use infobus_subject::{InternedSubject, SubjectFilter, SubjectTable, SubscriptionId};
 use infobus_types::{wire, TypeRegistry, Value};
 
+use crate::broker::{ConnId, SessOut, SessionBroker};
 use crate::clock::MonoClock;
 use crate::frame::{decode_frame, encode_frame};
 use crate::loss::LossRng;
+use crate::session::{decode_session_frame, encode_session_frame, is_session_frame, SessionFrame};
 use crate::timers::TimerWheel;
 
 /// How long the reader thread blocks in `recv` at most, so shutdown and
@@ -68,7 +79,10 @@ fn poisoned<T>(r: Result<T, impl std::fmt::Display>) -> T {
 /// [`BusConfig`]).
 #[derive(Debug, Clone)]
 pub struct UdpConfig {
-    /// Protocol configuration handed to the engine.
+    /// Protocol configuration handed to the engine (the session knobs —
+    /// [`BusConfig::session_timeout_us`],
+    /// [`BusConfig::heartbeat_period_us`],
+    /// [`BusConfig::session_cursor_lag`] — configure the broker).
     pub bus: BusConfig,
     /// This daemon's host id on the bus (must be unique per segment).
     pub host: u32,
@@ -99,11 +113,16 @@ pub struct UdpConfig {
     /// turns it on because it subscribes broadly to *relay* traffic and
     /// must not hear its own republications back.
     pub no_local_echo: bool,
+    /// Capability token a thin-client session
+    /// [`Hello`](SessionFrame::Hello) must present. `None` (the default)
+    /// serves no sessions: session frames count as decode errors.
+    pub session_token: Option<u64>,
 }
 
 impl UdpConfig {
     /// Default configuration for host id `host`: ephemeral loopback
-    /// bind, no static peers, no multicast, no injected loss.
+    /// bind, no static peers, no multicast, no injected loss, no
+    /// sessions.
     pub fn new(host: u32) -> UdpConfig {
         UdpConfig {
             bus: BusConfig::default(),
@@ -117,6 +136,7 @@ impl UdpConfig {
             send_retries: 3,
             send_backoff_us: 200,
             no_local_echo: false,
+            session_token: None,
         }
     }
 
@@ -170,6 +190,13 @@ impl UdpConfig {
         self.no_local_echo = true;
         self
     }
+
+    /// Serves thin-client sessions gated on `token` (see
+    /// [`UdpConfig::session_token`]).
+    pub fn with_session_token(mut self, token: u64) -> Self {
+        self.session_token = Some(token);
+        self
+    }
 }
 
 /// A message delivered by the UDP bus — the driver-independent
@@ -187,39 +214,37 @@ pub type NetReceiver = SubReceiver<NetMessage>;
 #[deprecated(note = "use `SubscriptionHandle` (the unified `Bus` surface)")]
 pub type NetSubscription = SubscriptionHandle;
 
-/// One local subscription: its queue, creation time (first-contact
-/// entitlement), canonical filter text (announcements), and optional
-/// content predicate (the delivery gate).
-struct SubEntry {
-    tx: SubSender<NetMessage>,
-    since: Micros,
-    filter: String,
-    pred: Option<Arc<CompiledPredicate>>,
+/// Where a local subscription delivers.
+#[derive(Clone)]
+enum Sink {
+    /// An API subscriber's queue.
+    Queue(SubSender<NetMessage>),
+    /// The thin-client sessions on one filter; the broker fans out.
+    Sessions,
 }
 
-/// One filter a peer daemon announced: parsed, with the content
-/// predicate it travels with (`None` = unfiltered). Feeds the publish
-/// gate and guaranteed-delivery interest.
-struct PeerFilter {
-    filter: SubjectFilter,
-    pred: Option<Arc<CompiledPredicate>>,
+/// The thin-client session plane: the broker plus its transport
+/// mappings, which only this driver sees.
+struct Sessions {
+    broker: SessionBroker,
+    by_addr: HashMap<SocketAddr, ConnId>,
+    by_conn: HashMap<ConnId, SocketAddr>,
+    last_conn: u64,
+    /// Each filter some session holds → its [`Sink::Sessions`] entry.
+    filters: HashMap<String, SubscriptionId>,
+    next_scan: Micros,
 }
 
-/// The wire predicate this daemon currently announces for filter `text`:
-/// `None` when no local subscription uses the filter at all, otherwise
-/// the combined announced-predicate bytes (empty = unfiltered; see
-/// [`announced_predicate`]).
-fn announced_pred_state(trie: &SubjectTrie<SubEntry>, text: &str) -> Option<Vec<u8>> {
-    let mut preds: Vec<Option<Arc<CompiledPredicate>>> = Vec::new();
-    trie.for_each(|_, _, e| {
-        if e.filter == text {
-            preds.push(e.pred.clone());
+impl Sessions {
+    fn conn_for(&mut self, addr: SocketAddr) -> ConnId {
+        if let Some(&c) = self.by_addr.get(&addr) {
+            return c;
         }
-    });
-    if preds.is_empty() {
-        None
-    } else {
-        Some(announced_predicate(&preds).map_or_else(Vec::new, |p| p.to_bytes()))
+        self.last_conn += 1;
+        let c = ConnId(self.last_conn);
+        self.by_addr.insert(addr, c);
+        self.by_conn.insert(c, addr);
+        c
     }
 }
 
@@ -236,24 +261,16 @@ struct Inner {
     /// The protocol engine, sharded by the subject's first segment
     /// ([`BusConfig::shards`] instances; one by default).
     engine: Mutex<ShardedEngine>,
-    trie: RwLock<SubjectTrie<SubEntry>>,
+    /// The engine's subject intern table, shared.
+    subjects: SubjectTable,
+    interest: Mutex<InterestTable<Sink>>,
+    /// `None` unless [`UdpConfig::session_token`] is set.
+    sessions: Option<Mutex<Sessions>>,
     registry: Mutex<TypeRegistry>,
     timers: Mutex<TimerWheel>,
     /// Known peer addresses; extended whenever a frame arrives from an
     /// unknown host (every frame carries the sender's host id).
     peers: RwLock<HashMap<u32, SocketAddr>>,
-    /// Remote subscription tables from `SubAnnounce` packets, for
-    /// guaranteed-delivery interest snapshots and the publish gate.
-    peer_subs: Mutex<HashMap<u32, HashMap<String, PeerFilter>>>,
-    /// Semantic subject layer ([`BusConfig::subject_map`]): canonicalizes
-    /// published subjects, expands subscribed filters.
-    semantic: Option<Arc<SubjectMap>>,
-    /// Semantic expansion families: head subscription id → sibling ids,
-    /// removed together.
-    expansions: Mutex<HashMap<SubscriptionId, Vec<SubscriptionId>>>,
-    /// Content-filter and semantic-layer counters (atomics: the gates
-    /// run on caller and reader threads alike).
-    filt: FilterCounters,
     /// Guaranteed-delivery non-volatile store: in-memory by default, a
     /// per-shard write-ahead ledger when
     /// [`BusConfig::durable_dir`](infobus_core::BusConfig::durable_dir)
@@ -277,7 +294,8 @@ struct Inner {
     next_announce: AtomicU64,
 }
 
-/// A bus daemon speaking the wire protocol over real UDP sockets.
+/// A bus daemon speaking the wire protocol over real UDP sockets, and
+/// optionally serving thin-client sessions on the same socket.
 ///
 /// Dropping (or [`UdpBus::close`]-ing) the bus stops and joins the
 /// reader thread; subscriber queues close once drained.
@@ -306,6 +324,7 @@ impl UdpBus {
             socket.set_multicast_loop_v4(true).map_err(net_err)?;
         }
         let local = socket.local_addr().map_err(net_err)?;
+        let clock = MonoClock::new();
         let queue_cap = cfg.bus.subscriber_queue_cap;
         let shards = cfg.bus.shards.max(1);
         // Open (and recover) the non-volatile store before any traffic:
@@ -314,7 +333,17 @@ impl UdpBus {
         let nv = NvStore::open(&cfg.bus).map_err(net_err)?;
         let announce_us = cfg.bus.announce_period_us;
         let pool_slots = cfg.bus.marshal_pool_slots();
-        let semantic = cfg.bus.semantic_map().cloned();
+        let interest = InterestTable::new(cfg.bus.semantic_map().cloned());
+        let sessions = cfg.session_token.map(|token| {
+            Mutex::new(Sessions {
+                broker: SessionBroker::new(&cfg.bus, token),
+                by_addr: HashMap::new(),
+                by_conn: HashMap::new(),
+                last_conn: 0,
+                filters: HashMap::new(),
+                next_scan: clock.now_us() + cfg.bus.heartbeat_period_us,
+            })
+        });
         // The engine owns the daemon-wide subject intern table; ledger
         // recovery interns its replayed subjects into it.
         let engine = ShardedEngine::new(cfg.bus, cfg.host);
@@ -329,16 +358,14 @@ impl UdpBus {
             pool: BufPool::with_slots(pool_slots),
             socket,
             local,
-            clock: MonoClock::new(),
+            clock,
+            subjects: engine.table().clone(),
             engine: Mutex::new(engine),
-            trie: RwLock::new(SubjectTrie::new()),
+            interest: Mutex::new(interest),
+            sessions,
             registry: Mutex::new(TypeRegistry::with_fundamentals()),
             timers: Mutex::new(TimerWheel::new(shards)),
             peers: RwLock::new(cfg.peers.into_iter().collect()),
-            peer_subs: Mutex::new(HashMap::new()),
-            semantic,
-            expansions: Mutex::new(HashMap::new()),
-            filt: FilterCounters::default(),
             nv: Mutex::new(nv),
             running: AtomicBool::new(true),
             multicast: cfg.multicast,
@@ -393,7 +420,7 @@ impl UdpBus {
         })
     }
 
-    /// The bound socket address (give this to peers).
+    /// The bound socket address (give this to peers and thin clients).
     pub fn local_addr(&self) -> SocketAddr {
         self.inner.local
     }
@@ -468,141 +495,42 @@ impl UdpBus {
         filter: &str,
         pred: Option<Arc<CompiledPredicate>>,
     ) -> Result<(SubscriptionHandle, NetReceiver), BusError> {
-        // Semantic expansion: one call may materialize sibling
-        // subscriptions on every synonym/broadening of the filter.
-        let expanded: Vec<String> = match &self.inner.semantic {
-            Some(m) => m.expand_filter(filter),
-            None => vec![filter.to_owned()],
-        };
-        let mut parsed = Vec::with_capacity(expanded.len());
-        for f in &expanded {
-            parsed.push(SubjectFilter::new(f)?);
-        }
+        let (tx, rx) = sub_queue(self.inner.queue_cap, Arc::clone(&self.inner.queue_dropped));
         let now = self.inner.clock.now_us();
         let mut engine = poisoned(self.inner.engine.lock());
-        let (tx, rx) = sub_queue(self.inner.queue_cap, Arc::clone(&self.inner.queue_dropped));
-        let mut add: Vec<AnnounceEntry> = Vec::new();
-        let mut ids = Vec::with_capacity(parsed.len());
-        {
-            let mut trie = poisoned(self.inner.trie.write());
-            for (f, text) in parsed.iter().zip(&expanded) {
-                let before = announced_pred_state(&trie, text);
-                ids.push(trie.insert(
-                    f,
-                    SubEntry {
-                        tx: tx.clone(),
-                        since: now,
-                        filter: text.clone(),
-                        pred: pred.clone(),
-                    },
-                ));
-                // Announce new filters, and *re*-announce when a sibling
-                // changed what the filter's combined predicate says
-                // (peers replace on receipt).
-                let after = announced_pred_state(&trie, text).expect("filter just inserted");
-                if before.as_ref() != Some(&after) {
-                    add.push(AnnounceEntry {
-                        filter: text.clone(),
-                        pred: after,
-                    });
-                }
-            }
-        }
-        if !add.is_empty() {
-            let pkt = Packet::SubAnnounce {
-                host: self.inner.host,
-                full: false,
-                add,
-                remove: vec![],
-            };
-            self.inner.send_broadcast_packet(&pkt, &mut engine.stats);
-        }
-        let primary = ids[0];
-        if ids.len() > 1 {
-            self.inner
-                .filt
-                .sem_expanded
-                .fetch_add((ids.len() - 1) as u64, Ordering::Relaxed);
-            poisoned(self.inner.expansions.lock()).insert(primary, ids.split_off(1));
-        }
-        Ok((SubscriptionHandle::from_raw(primary), rx))
+        let sink = Sink::Queue(tx);
+        let (id, delta) = self.inner.interest().subscribe(filter, sink, now, pred)?;
+        self.inner.announce(delta, &mut engine.stats);
+        Ok((SubscriptionHandle::from_raw(id), rx))
     }
 
     /// Removes a subscription (its queue closes once drained) together
-    /// with any semantic expansion siblings; announces each removal if
-    /// no sibling subscription shares the filter, or re-announces the
-    /// filter's remaining combined predicate.
+    /// with any semantic expansion siblings, and announces what changed.
     pub fn unsubscribe(&self, handle: SubscriptionHandle) {
-        let mut targets = vec![handle.raw()];
-        if let Some(extras) = poisoned(self.inner.expansions.lock()).remove(&handle.raw()) {
-            targets.extend(extras);
-        }
         let mut engine = poisoned(self.inner.engine.lock());
-        let mut add: Vec<AnnounceEntry> = Vec::new();
-        let mut remove: Vec<String> = Vec::new();
-        {
-            let mut trie = poisoned(self.inner.trie.write());
-            for id in targets {
-                let Some(entry) = trie.remove(id) else {
-                    continue;
-                };
-                match announced_pred_state(&trie, &entry.filter) {
-                    None => remove.push(entry.filter),
-                    // A sibling remains: re-announce unconditionally (the
-                    // departing subscription may have widened or narrowed
-                    // the combined predicate; peers replace on receipt).
-                    Some(after) => add.push(AnnounceEntry {
-                        filter: entry.filter,
-                        pred: after,
-                    }),
-                }
-            }
-        }
-        if !add.is_empty() || !remove.is_empty() {
-            let pkt = Packet::SubAnnounce {
-                host: self.inner.host,
-                full: false,
-                add,
-                remove,
-            };
-            self.inner.send_broadcast_packet(&pkt, &mut engine.stats);
-        }
+        let delta = self.inner.interest().unsubscribe(handle.raw());
+        self.inner.announce(delta, &mut engine.stats);
     }
 
-    /// Publishes a value; the engine sequences it, local subscribers get
-    /// it immediately, and the wire packet goes out (batched or not, per
-    /// [`BusConfig`]). Returns the number of *local* subscribers.
+    /// Publishes a value; the engine sequences it, local subscribers and
+    /// sessions get it immediately, and the wire packet goes out
+    /// (batched or not, per [`BusConfig`]). Returns the number of local
+    /// deliveries (API queues and sessions).
     ///
     /// # Errors
     ///
     /// Returns [`BusError::Subject`] or [`BusError::Marshal`].
     pub fn publish(&self, subject: &str, value: &Value, qos: QoS) -> Result<usize, BusError> {
-        // Semantic layer: synonym subjects collapse to canonical form
-        // before the trie, the engine, or the wire see them.
-        let canon;
-        let subject = match self
-            .inner
-            .semantic
-            .as_ref()
-            .and_then(|m| m.canonicalize(subject))
-        {
-            Some(c) => {
-                self.inner
-                    .filt
-                    .sem_canonicalized
-                    .fetch_add(1, Ordering::Relaxed);
-                canon = c;
-                canon.as_str()
-            }
-            None => subject,
-        };
         // Publish gate: when every matching interest — local
         // subscriptions and peer-announced filters — carries a rejecting
         // predicate, the publication is suppressed before it is ever
         // marshalled, sequenced, or framed.
-        if !self.inner.publish_interest_accepts(subject, value)? {
+        let mut interest = self.inner.interest();
+        let subject = self.inner.intern_canonical(&interest, subject)?;
+        if !interest.publish_interest_accepts(&subject, || Some(Cow::Borrowed(value))) {
             return Ok(0);
         }
+        drop(interest);
         let payload = {
             let mut buf = self.inner.pool.take();
             let registry = poisoned(self.inner.registry.lock());
@@ -610,7 +538,12 @@ impl UdpBus {
                 .map_err(|e| BusError::Marshal(e.to_string()))?;
             buf.freeze()
         };
-        self.publish_payload(subject, payload, qos, None)
+        let now = self.inner.clock.now_us();
+        let mut engine = poisoned(self.inner.engine.lock());
+        let source = &self.inner.source;
+        Ok(self
+            .inner
+            .publish_payload(&mut engine, now, source, &subject, qos, payload))
     }
 
     /// Re-publishes an already marshalled payload as a *forwarded* copy
@@ -630,49 +563,18 @@ impl UdpBus {
         qos: QoS,
         route: Option<RouteStamp>,
     ) -> Result<usize, BusError> {
-        let n = self.publish_payload(subject, payload, qos, route)?;
-        poisoned(self.inner.engine.lock()).stats.router_forwarded += 1;
-        Ok(n)
-    }
-
-    /// The shared publish tail: sequence, persist (guaranteed), fan out
-    /// locally (unless local echo is suppressed), and transmit.
-    fn publish_payload(
-        &self,
-        subject: &str,
-        payload: Bytes,
-        qos: QoS,
-        route: Option<RouteStamp>,
-    ) -> Result<usize, BusError> {
+        let subject = self.inner.subjects.intern(subject)?;
+        let source = PubSource {
+            route,
+            ..self.inner.source.clone()
+        };
         let now = self.inner.clock.now_us();
         let mut engine = poisoned(self.inner.engine.lock());
-        let subject = engine.table().intern(subject)?;
-        let source = if route.is_some() {
-            &PubSource {
-                app: Arc::clone(&self.inner.source.app),
-                inc: self.inner.source.inc,
-                route,
-            }
-        } else {
-            &self.inner.source
-        };
-        let (env, pre) = engine.publish(now, source, &subject, qos, EnvelopeKind::Data, 0, payload);
-        // Pre-actions (persist-before-broadcast for guaranteed QoS).
-        self.inner.run_engine_actions(&mut engine, now, pre);
-        let (delivered, suppressed) = if self.inner.no_local_echo {
-            (0, 0)
-        } else {
-            self.inner.fan_out(&mut engine.stats, &env)
-        };
-        // A predicate rejection counts as consumption: the subscriber
-        // saw and declined the envelope, so guaranteed delivery
-        // completes instead of retrying forever.
-        if qos == QoS::Guaranteed && delivered + suppressed > 0 {
-            engine.gd_local_done(&env);
-        }
-        let actions = engine.enqueue(&env);
-        self.inner.run_engine_actions(&mut engine, now, actions);
-        Ok(delivered)
+        let n = self
+            .inner
+            .publish_payload(&mut engine, now, &source, &subject, qos, payload);
+        engine.stats.router_forwarded += 1;
+        Ok(n)
     }
 
     /// A snapshot of every subscription filter announced by peers on
@@ -680,17 +582,12 @@ impl UdpBus {
     /// information router summarizes into remote interest for its other
     /// foot.
     pub fn peer_filters(&self) -> Vec<String> {
-        let peer_subs = poisoned(self.inner.peer_subs.lock());
-        let mut set: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        for filters in peer_subs.values() {
-            set.extend(filters.keys().cloned());
-        }
-        set.into_iter().collect()
+        self.inner.interest().peer_filters()
     }
 
     /// A snapshot of the protocol counters merged across every shard,
-    /// including the socket-level `net_*` counters and subscriber-queue
-    /// gauges.
+    /// including the socket-level `net_*` counters, the session counters
+    /// and subscriber-queue gauges.
     pub fn stats(&self) -> BusStats {
         self.sharded_stats().merged
     }
@@ -700,13 +597,22 @@ impl UdpBus {
     /// attributable to a single shard).
     pub fn sharded_stats(&self) -> ShardedStats {
         let mut stats = poisoned(self.inner.engine.lock()).sharded_stats();
-        let trie = poisoned(self.inner.trie.read());
+        let merged = &mut stats.merged;
+        let interest = self.inner.interest();
         let mut depth = 0u64;
-        trie.for_each(|_, _, e| depth += e.tx.queued() as u64);
-        stats.merged.sub_queue_depth = depth;
-        stats.merged.sub_queue_dropped = self.inner.queue_dropped.load(Ordering::Relaxed);
-        self.inner.filt.fold_into(&mut stats.merged);
-        poisoned(self.inner.nv.lock()).stamp_stats(&mut stats.merged);
+        interest.for_each_local(|_, sink| {
+            if let Sink::Queue(tx) = sink {
+                depth += tx.queued() as u64;
+            }
+        });
+        interest.fold_into(merged);
+        drop(interest);
+        merged.sub_queue_depth = depth;
+        merged.sub_queue_dropped = self.inner.queue_dropped.load(Ordering::Relaxed);
+        if let Some(sessions) = &self.inner.sessions {
+            poisoned(sessions.lock()).broker.stats_into(merged);
+        }
+        poisoned(self.inner.nv.lock()).stamp_stats(merged);
         stats
     }
 
@@ -762,6 +668,29 @@ impl Bus for UdpBus {
 }
 
 impl Inner {
+    fn interest(&self) -> MutexGuard<'_, InterestTable<Sink>> {
+        poisoned(self.interest.lock())
+    }
+
+    /// Interns a publish subject, first rewriting it to canonical form
+    /// when a semantic map is configured (synonym subjects collapse
+    /// before the interest table, the engine, or the wire see them).
+    fn intern_canonical(
+        &self,
+        interest: &InterestTable<Sink>,
+        subject: &str,
+    ) -> Result<InternedSubject, BusError> {
+        let canonical = interest.canonicalize(subject);
+        Ok(self
+            .subjects
+            .intern(canonical.as_deref().unwrap_or(subject))?)
+    }
+
+    fn unmarshal(&self, payload: &[u8]) -> Option<Value> {
+        let mut registry = poisoned(self.registry.lock());
+        wire::unmarshal(payload, &mut registry).ok()
+    }
+
     // ----- socket send path -------------------------------------------------
 
     /// Sends one datagram with bounded retry and doubling backoff.
@@ -807,195 +736,158 @@ impl Inner {
         self.send_datagram(addr, &bytes, stats);
     }
 
-    /// A full `SubAnnounce` of every locally subscribed filter, each
-    /// with its combined announced predicate.
+    fn send_session_frame(&self, conn: ConnId, frame: &SessionFrame, stats: &mut BusStats) {
+        let sessions = self
+            .sessions
+            .as_ref()
+            .expect("session frames need sessions");
+        let Some(addr) = poisoned(sessions.lock()).by_conn.get(&conn).copied() else {
+            stats.net_send_errors += 1;
+            return;
+        };
+        self.send_datagram(addr, &encode_session_frame(frame), stats);
+    }
+
+    /// Broadcasts an announce delta, if it says anything.
+    fn announce(&self, (add, remove): (Vec<String>, Vec<String>), stats: &mut BusStats) {
+        if add.is_empty() && remove.is_empty() {
+            return;
+        }
+        let add: Vec<AnnounceEntry> = {
+            let interest = self.interest();
+            add.iter()
+                .filter_map(|f| interest.announce_entry(f))
+                .collect()
+        };
+        let (host, full) = (self.host, false);
+        self.send_broadcast_packet(
+            &Packet::SubAnnounce {
+                host,
+                full,
+                add,
+                remove,
+            },
+            stats,
+        );
+    }
+
+    /// A full `SubAnnounce` of every local filter with its combined
+    /// announced predicate (session filters announce unfiltered).
     fn full_announce(&self) -> Packet {
-        let trie = poisoned(self.trie.read());
-        let mut filters = BTreeSet::new();
-        trie.for_each(|_, _, e| {
-            filters.insert(e.filter.clone());
-        });
-        let add = filters
-            .into_iter()
-            .map(|f| {
-                let pred = announced_pred_state(&trie, &f).unwrap_or_default();
-                AnnounceEntry { filter: f, pred }
-            })
-            .collect();
         Packet::SubAnnounce {
             host: self.host,
             full: true,
-            add,
+            add: self.interest().full_announce(),
             remove: vec![],
         }
     }
 
-    /// The publisher-side content gate: `false` means every matching
-    /// interest (local subscription or peer-announced filter) carries a
-    /// rejecting predicate — the publication is suppressed. Zero
-    /// matching interest sends (remote daemons filter cheaply anyway).
-    fn publish_interest_accepts(&self, subject: &str, value: &Value) -> Result<bool, BusError> {
-        let subject = Subject::new(subject)?;
-        let mut evals = 0u64;
-        let mut matched_any = false;
-        let mut accept = false;
-        {
-            let trie = poisoned(self.trie.read());
-            for (_, e) in trie.matches(&subject) {
-                matched_any = true;
-                match &e.pred {
-                    None => {
-                        accept = true;
-                        break;
-                    }
-                    Some(p) => {
-                        evals += 1;
-                        if p.eval(value) {
-                            accept = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if !accept {
-            let peer_subs = poisoned(self.peer_subs.lock());
-            'peers: for table in peer_subs.values() {
-                for pf in table.values() {
-                    if !pf.filter.matches(&subject) {
-                        continue;
-                    }
-                    matched_any = true;
-                    match &pf.pred {
-                        None => {
-                            accept = true;
-                            break 'peers;
-                        }
-                        Some(p) => {
-                            evals += 1;
-                            if p.eval(value) {
-                                accept = true;
-                                break 'peers;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let send = accept || !matched_any;
-        self.filt
-            .record_publish_gate(evals, send, approx_wire_bytes(value));
-        Ok(send)
-    }
-
     // ----- engine plumbing --------------------------------------------------
 
+    /// The shared publish tail: sequence, persist (guaranteed), fan out
+    /// locally (unless local echo is suppressed), and transmit. Returns
+    /// the local deliveries made.
+    fn publish_payload(
+        &self,
+        engine: &mut ShardedEngine,
+        now: Micros,
+        source: &PubSource,
+        subject: &InternedSubject,
+        qos: QoS,
+        payload: Bytes,
+    ) -> usize {
+        let (env, pre) = engine.publish(now, source, subject, qos, EnvelopeKind::Data, 0, payload);
+        // Pre-actions (persist-before-broadcast for guaranteed QoS).
+        self.run_engine_actions(engine, now, pre);
+        let (delivered, suppressed) = if self.no_local_echo {
+            (0, 0)
+        } else {
+            self.fan_out(&mut engine.stats, &env)
+        };
+        // A predicate rejection counts as consumption: the subscriber
+        // saw and declined the envelope, so guaranteed delivery
+        // completes instead of retrying forever.
+        if qos == QoS::Guaranteed && delivered + suppressed > 0 {
+            engine.gd_local_done(&env);
+        }
+        let actions = engine.enqueue(&env);
+        self.run_engine_actions(engine, now, actions);
+        delivered
+    }
+
     /// Performs a batch of shard-tagged engine actions; reports
-    /// guaranteed local deliveries back to the engine. Returns local
-    /// deliveries made.
+    /// guaranteed local deliveries back to the engine.
     fn run_engine_actions(
         &self,
         engine: &mut ShardedEngine,
         now: Micros,
         actions: Vec<(ShardId, Action)>,
-    ) -> usize {
+    ) {
         if actions.is_empty() {
-            return 0;
+            return;
         }
         let mut t = UdpTransport {
             inner: self,
             now,
             stats: &mut engine.stats,
             gd_done: Vec::new(),
-            delivered: 0,
         };
         run_sharded_actions(actions, &mut t);
-        let UdpTransport {
-            gd_done, delivered, ..
-        } = t;
-        for env in &gd_done {
+        for env in &t.gd_done {
             engine.gd_local_done(env);
         }
-        delivered
     }
 
-    /// Hands an envelope to every matching subscriber queue. Subject and
-    /// payload are shared handles — fan-out copies no bytes. Returns
-    /// `(delivered, suppressed)`: predicated subscriptions whose
-    /// predicate rejects the payload are skipped (and, for guaranteed
-    /// QoS, still count as consumption). The payload is unmarshalled at
-    /// most once, and only when a predicated subscription matches; a
-    /// payload that fails to unmarshal delivers unconditionally.
+    /// Hands an envelope to every matching subscriber queue and session.
+    /// Subject and payload are shared handles — fan-out copies no bytes.
+    /// Returns `(delivered, suppressed)`: subscriptions (or sessions)
+    /// whose predicate rejects the payload are skipped and, for
+    /// guaranteed QoS, still count as consumption. The payload is
+    /// unmarshalled at most once, and only when a predicate needs it.
     fn fan_out(&self, stats: &mut BusStats, env: &Envelope) -> (usize, usize) {
-        let trie = poisoned(self.trie.read());
-        let mut count = 0usize;
-        let mut suppressed = 0usize;
-        let mut value: Option<Option<Value>> = None;
-        for (_, entry) in trie.matches(&env.subject) {
-            if let Some(p) = &entry.pred {
-                let v = value.get_or_insert_with(|| {
-                    let mut registry = poisoned(self.registry.lock());
-                    wire::unmarshal(&env.payload, &mut registry).ok()
-                });
-                if let Some(v) = v {
-                    self.filt.evals.fetch_add(1, Ordering::Relaxed);
-                    if !p.eval(v) {
-                        suppressed += 1;
-                        self.filt
-                            .delivery_suppressed
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.filt
-                            .suppressed_bytes
-                            .fetch_add(env.payload.len() as u64, Ordering::Relaxed);
-                        continue;
-                    }
+        let mut sessions = false;
+        let mut value = None;
+        let (mut count, mut suppressed) = self.interest().deliver(
+            &env.subject,
+            env.payload.len(),
+            &mut value,
+            || self.unmarshal(&env.payload),
+            |sink| match sink {
+                Sink::Queue(tx) => tx.send(Delivery::of(env)).is_ok(),
+                Sink::Sessions => {
+                    sessions = true;
+                    false
                 }
-            }
-            let msg = NetMessage {
-                subject: env.subject.clone(),
-                payload: env.payload.clone(),
-                redelivery: env.redelivery,
-                qos: env.qos,
-                route: env.route,
-            };
-            if entry.tx.send(msg).is_ok() {
-                count += 1;
-            }
-        }
+            },
+        );
         stats.delivered += count as u64;
         stats.delivered_bytes += (env.payload.len() * count) as u64;
-        (count, suppressed)
-    }
-
-    /// Creation time of the earliest local subscription matching
-    /// `subject` (the first-contact entitlement input).
-    fn earliest_matching_sub(&self, subject: &Subject) -> Option<Micros> {
-        let trie = poisoned(self.trie.read());
-        trie.matches(subject).map(|(_, e)| e.since).min()
-    }
-
-    /// Per-subject interested hosts for a guaranteed-delivery retry
-    /// round, from announced remote tables. Local interest is handled
-    /// via [`ShardedEngine::gd_local_done`], so self is excluded. The
-    /// interest map spans every shard's ledger; each shard only
-    /// consults the subjects its own slice holds.
-    fn gd_interest(&self, engine: &ShardedEngine) -> HashMap<String, Vec<u32>> {
-        let peer_subs = poisoned(self.peer_subs.lock());
-        let mut interest = HashMap::new();
-        for text in engine.gd_subjects() {
-            let Ok(subject) = Subject::new(&text) else {
-                // Absent from the map = invalid subject; the engine
-                // completes those entries.
-                continue;
-            };
-            let hosts: Vec<u32> = peer_subs
-                .iter()
-                .filter(|(_, filters)| filters.values().any(|pf| pf.filter.matches(&subject)))
-                .map(|(&h, _)| h)
-                .collect();
-            interest.insert(text, hosts);
+        if sessions {
+            // The broker stamps cursors, applies backpressure, and gates
+            // predicated session subscriptions, reusing the value the
+            // queue fan-out may already have unmarshalled; all this
+            // driver performs are the resulting sends.
+            let mut value_of = || value.take().unwrap_or_else(|| self.unmarshal(&env.payload));
+            let sessions = self
+                .sessions
+                .as_ref()
+                .expect("a session sink implies sessions");
+            let (outs, rejected) = poisoned(sessions.lock()).broker.on_deliver(
+                &env.subject,
+                env.subject.as_str(),
+                &env.payload,
+                env.redelivery,
+                &mut value_of,
+            );
+            suppressed += rejected;
+            for out in outs {
+                if let SessOut::Send { conn, frame } = out {
+                    self.send_session_frame(conn, &frame, stats);
+                    count += 1;
+                }
+            }
         }
-        interest
+        (count, suppressed)
     }
 
     // ----- reader thread ----------------------------------------------------
@@ -1004,12 +896,16 @@ impl Inner {
         let mut buf = vec![0u8; 64 * 1024];
         let mut loss = LossRng::new(self.loss_seed);
         while self.running.load(Ordering::SeqCst) {
-            let wait = {
-                let now = self.clock.now_us();
-                match poisoned(self.timers.lock()).next_deadline() {
-                    Some(at) => Duration::from_micros(at.saturating_sub(now)).min(READ_SLICE),
-                    None => READ_SLICE,
+            // Block until a datagram arrives or the next engine timer or
+            // session scan is due, whichever is first.
+            let next_scan = self.sessions.as_ref().map(|s| poisoned(s.lock()).next_scan);
+            let next_timer = poisoned(self.timers.lock()).next_deadline();
+            let wait = match next_timer.into_iter().chain(next_scan).min() {
+                Some(at) => {
+                    let now = self.clock.now_us();
+                    Duration::from_micros(at.saturating_sub(now)).min(READ_SLICE)
                 }
+                None => READ_SLICE,
             };
             let _ = self
                 .socket
@@ -1026,6 +922,7 @@ impl Inner {
             }
             self.fire_due_timers();
             self.fire_resync();
+            self.fire_session_scan();
         }
     }
 
@@ -1053,6 +950,24 @@ impl Inner {
         self.send_broadcast_packet(&announce, &mut engine.stats);
     }
 
+    /// Heartbeat freshness scan: evicts silent sessions.
+    fn fire_session_scan(&self) {
+        let Some(sessions) = &self.sessions else {
+            return;
+        };
+        let now = self.clock.now_us();
+        {
+            let mut s = poisoned(sessions.lock());
+            if now < s.next_scan {
+                return;
+            }
+            s.next_scan = now + s.broker.scan_period_us();
+        }
+        let mut engine = poisoned(self.engine.lock());
+        let outs = poisoned(sessions.lock()).broker.on_tick(now);
+        self.perform_sess_outs(&mut engine, now, outs);
+    }
+
     fn fire_due_timers(&self) {
         let now = self.clock.now_us();
         let due = poisoned(self.timers.lock()).expired(now);
@@ -1063,7 +978,7 @@ impl Inner {
         for (shard, kind) in due {
             let actions = match kind {
                 TimerKind::GdRetry => {
-                    let interest = self.gd_interest(&engine);
+                    let interest = self.interest().gd_interest(engine.gd_subjects());
                     engine.handle_gd_retry(now, shard, interest)
                 }
                 other => engine.handle_timer(now, shard, other),
@@ -1072,11 +987,82 @@ impl Inner {
         }
     }
 
+    /// Performs broker actions: sends, fan-in publishes, session
+    /// interest changes, and forgotten connections.
+    fn perform_sess_outs(&self, engine: &mut ShardedEngine, now: Micros, outs: Vec<SessOut>) {
+        let sessions = self
+            .sessions
+            .as_ref()
+            .expect("session outputs need sessions");
+        for out in outs {
+            match out {
+                SessOut::Send { conn, frame } => {
+                    self.send_session_frame(conn, &frame, &mut engine.stats);
+                }
+                SessOut::Publish {
+                    subject,
+                    qos,
+                    payload,
+                } => {
+                    // Fan-in: a session publish enters the engine like a
+                    // local API publish. (The interest lock is released
+                    // before fan-out takes it again.)
+                    let subject = self.intern_canonical(&self.interest(), &subject);
+                    if let Ok(subject) = subject {
+                        let payload = Bytes::from(payload);
+                        self.publish_payload(engine, now, &self.source, &subject, qos, payload);
+                    }
+                }
+                // Session interest enters the interest table as one
+                // unfiltered entry per filter (the broker gates each
+                // session at fan-out), so it is announced like any
+                // other subscription.
+                SessOut::FilterAdded(f) => {
+                    let Ok(filter) = SubjectFilter::new(&f) else {
+                        continue;
+                    };
+                    let (id, delta) = self.interest().insert(&filter, Sink::Sessions, now, None);
+                    poisoned(sessions.lock()).filters.insert(f, id);
+                    self.announce(delta, &mut engine.stats);
+                }
+                SessOut::FilterRemoved(f) => {
+                    let id = poisoned(sessions.lock()).filters.remove(&f);
+                    if let Some(id) = id {
+                        let delta = self.interest().unsubscribe(id);
+                        self.announce(delta, &mut engine.stats);
+                    }
+                }
+                SessOut::Closed { conn } => {
+                    let mut s = poisoned(sessions.lock());
+                    if let Some(addr) = s.by_conn.remove(&conn) {
+                        s.by_addr.remove(&addr);
+                    }
+                }
+            }
+        }
+    }
+
     fn on_datagram(&self, src: SocketAddr, datagram: &[u8], loss: &mut LossRng) {
         let now = self.clock.now_us();
         let mut engine = poisoned(self.engine.lock());
         if self.recv_loss > 0.0 && loss.gen_f64() < self.recv_loss {
             engine.stats.net_recv_dropped += 1;
+            return;
+        }
+        if is_session_frame(datagram) {
+            let (Some(sessions), Ok(frame)) = (&self.sessions, decode_session_frame(datagram))
+            else {
+                engine.stats.net_decode_errors += 1;
+                return;
+            };
+            engine.stats.net_rx_packets += 1;
+            engine.stats.net_rx_bytes += datagram.len() as u64;
+            let outs = {
+                let mut s = poisoned(sessions.lock());
+                let conn = s.conn_for(src);
+                s.broker.handle_frame(now, conn, frame)
+            };
+            self.perform_sess_outs(&mut engine, now, outs);
             return;
         }
         // Decoding interns wire subjects into the daemon's table.
@@ -1095,13 +1081,13 @@ impl Inner {
         engine.stats.net_rx_bytes += datagram.len() as u64;
         // Address learning: any frame teaches us where its sender lives.
         poisoned(self.peers.write()).insert(from_host, src);
-        match packet {
+        let actions = match packet {
             Packet::Data { envelopes, .. } => {
                 for env in envelopes {
                     if env.stream.host == self.host {
                         continue;
                     }
-                    let Some(sub_at) = self.earliest_matching_sub(&env.subject) else {
+                    let Some(sub_at) = self.interest().earliest_matching_sub(&env.subject) else {
                         // Cheap filtering at the daemon boundary, as in
                         // the paper: nothing local matches.
                         engine.stats.filtered += 1;
@@ -1111,104 +1097,88 @@ impl Inner {
                     let actions = engine.handle(now, Event::Envelope { env, entitled });
                     self.run_engine_actions(&mut engine, now, actions);
                 }
-            }
-            Packet::Nak {
-                stream,
-                subject,
-                requester,
-                missing,
-            } => {
-                let actions = engine.handle(
-                    now,
-                    Event::Nak {
-                        stream,
-                        subject,
-                        requester,
-                        missing,
-                    },
-                );
-                self.run_engine_actions(&mut engine, now, actions);
-            }
-            Packet::GapSkip {
-                stream,
-                subject,
-                through,
-            } => {
-                let actions = engine.handle(
-                    now,
-                    Event::GapSkip {
-                        stream,
-                        subject,
-                        through,
-                    },
-                );
-                self.run_engine_actions(&mut engine, now, actions);
-            }
-            Packet::Ack {
-                stream,
-                subject,
-                seq,
-                from_host,
-            } => {
-                let actions = engine.handle(
-                    now,
-                    Event::Ack {
-                        stream,
-                        subject,
-                        seq,
-                        from_host,
-                    },
-                );
-                self.run_engine_actions(&mut engine, now, actions);
+                return;
             }
             Packet::SeqSync { entries } => {
                 for entry in entries {
                     if entry.stream.host == self.host {
                         continue;
                     }
-                    let sub_at = self.earliest_matching_sub(&entry.subject);
+                    let sub_at = self.interest().earliest_matching_sub(&entry.subject);
                     let actions = engine.handle(now, Event::Digest { entry, sub_at });
                     self.run_engine_actions(&mut engine, now, actions);
                 }
+                return;
             }
+            Packet::Nak {
+                stream,
+                subject,
+                requester,
+                missing,
+            } => engine.handle(
+                now,
+                Event::Nak {
+                    stream,
+                    subject,
+                    requester,
+                    missing,
+                },
+            ),
+            Packet::GapSkip {
+                stream,
+                subject,
+                through,
+            } => engine.handle(
+                now,
+                Event::GapSkip {
+                    stream,
+                    subject,
+                    through,
+                },
+            ),
+            Packet::Ack {
+                stream,
+                subject,
+                seq,
+                from_host,
+            } => engine.handle(
+                now,
+                Event::Ack {
+                    stream,
+                    subject,
+                    seq,
+                    from_host,
+                },
+            ),
+            // Peer tables are keyed on the frame's sender: an announce
+            // whose body claims another host is forged and dropped.
             Packet::SubAnnounce {
                 host,
                 full,
                 add,
                 remove,
             } => {
-                let mut peer_subs = poisoned(self.peer_subs.lock());
-                let table = peer_subs.entry(host).or_default();
-                if full {
-                    table.clear();
+                if !self
+                    .interest()
+                    .ingest_announce(from_host, host, full, add, remove)
+                {
+                    engine.stats.net_decode_errors += 1;
                 }
-                for e in add {
-                    if let Ok(f) = SubjectFilter::new(&e.filter) {
-                        // A malformed predicate decodes to unfiltered —
-                        // the direction that can only over-deliver.
-                        let pred = if e.pred.is_empty() {
-                            None
-                        } else {
-                            CompiledPredicate::from_bytes(&e.pred).ok().map(Arc::new)
-                        };
-                        table.insert(e.filter, PeerFilter { filter: f, pred });
-                    }
-                }
-                for text in remove {
-                    table.remove(&text);
-                }
+                return;
             }
             Packet::SubResync { .. } => {
                 let announce = self.full_announce();
                 self.send_packet_to(src, &announce, &mut engine.stats);
+                return;
             }
-        }
+        };
+        self.run_engine_actions(&mut engine, now, actions);
     }
 }
 
 /// The [`Transport`] the UDP bus hands to [`run_sharded_actions`]:
 /// performs engine actions against the socket, the timer wheel, the
-/// ledger map, and the subscriber queues.
+/// ledger map, the subscriber queues, and the sessions.
 struct UdpTransport<'a> {
     inner: &'a Inner,
     now: Micros,
@@ -1217,7 +1187,6 @@ struct UdpTransport<'a> {
     /// reported back via [`ShardedEngine::gd_local_done`] once the
     /// borrow ends.
     gd_done: Vec<Envelope>,
-    delivered: usize,
 }
 
 impl Transport for UdpTransport<'_> {
@@ -1245,7 +1214,7 @@ impl Transport for UdpTransport<'_> {
         // Control envelopes (RMI, discovery) need co-resident protocol
         // handlers this driver does not host yet; only data fans out.
         if env.kind == EnvelopeKind::Data {
-            self.delivered += self.inner.fan_out(self.stats, &env).0;
+            self.inner.fan_out(self.stats, &env);
         }
     }
 

@@ -6,11 +6,12 @@
 //! the simulated daemon and the in-process bus — the identical
 //! [`Engine`](infobus_core::engine::Engine) state machines, driven by
 //! `std::net::UdpSocket` datagrams and a wall-clock monotonic timer wheel
-//! instead of the discrete-event simulator. Nothing protocol-shaped
+//! instead of the discrete-event simulator. Nothing of the peer protocol
 //! lives here: sequencing, NAK repair, duplicate suppression, guaranteed
-//! delivery, and batching all come from `infobus_core::engine`; this
-//! crate only moves bytes, keeps time, and fans envelopes out to
-//! subscriber queues.
+//! delivery, and batching all come from `infobus_core::engine`, and who
+//! wants what from its `InterestTable`; this crate moves bytes, keeps
+//! time, fans envelopes out to subscriber queues, and hosts thin-client
+//! sessions.
 //!
 //! # Topology
 //!
@@ -38,6 +39,16 @@
 //! ([`BusStats::net_decode_errors`](infobus_core::BusStats)) and dropped,
 //! never panicking the reader.
 //!
+//! # Thin-client sessions
+//!
+//! A bus bound with [`UdpConfig::with_session_token`] also serves thin
+//! clients that do not speak the peer protocol: they open capability-gated
+//! `bus-v1` sessions with small [`session`] frames (distinct `IBSS`
+//! magic, same socket), and the sans-I/O [`SessionBroker`] runs them —
+//! cursor-stamped delivery, cumulative acks, heartbeat eviction,
+//! bounded backpressure — while the daemon runs the real protocol on
+//! their behalf.
+//!
 //! # Example
 //!
 //! Two buses over loopback (run `cargo run --example udp_pair` for the
@@ -62,12 +73,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod broker;
 pub mod bus;
 pub mod clock;
 pub mod frame;
 pub mod loss;
 pub mod router;
+pub mod session;
 pub mod timers;
 
+pub use broker::{ConnId, SessOut, SessionBroker};
 pub use bus::{NetMessage, NetReceiver, UdpBus, UdpConfig};
 pub use router::{UdpRouter, UdpRouterConfig};
+pub use session::{
+    decode_session_frame, encode_session_frame, is_session_frame, SessionFrame, SESSION_MAGIC,
+    SESSION_PROTO, SESSION_VERSION,
+};

@@ -172,3 +172,40 @@ fn third_bus_learns_addresses_from_traffic() {
     }
     assert!(got, "a never learned c's address from traffic");
 }
+
+#[test]
+fn forged_announce_cannot_silence_another_host() {
+    use infobus_core::msg::{AnnounceEntry, Packet};
+    use infobus_core::{CompiledPredicate, Predicate};
+    use infobus_net::frame::encode_frame;
+
+    let (a, b) = pair_with_loss(0.0, 1);
+    let (_sub, rx) = b.subscribe("f.>").unwrap();
+    let end = Instant::now() + Duration::from_secs(10);
+    while a.peer_filters() != ["f.>"] {
+        assert!(Instant::now() < end, "a never learned b's filter");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Host 3 claims to be host 2 and replaces its whole table with a
+    // predicate that rejects everything. Believed, it would make a's
+    // publish gate suppress every publication b subscribed to.
+    let reject = CompiledPredicate::compile(&Predicate::eq("", Value::I64(-1))).unwrap();
+    let forged = Packet::SubAnnounce {
+        host: 2,
+        full: true,
+        add: vec![AnnounceEntry::filtered("f.>", reject.to_bytes())],
+        remove: vec![],
+    };
+    let forger = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    forger
+        .send_to(&encode_frame(3, &forged), a.local_addr())
+        .unwrap();
+    while a.stats().net_decode_errors == 0 {
+        assert!(Instant::now() < end, "forged announce was not dropped");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    a.publish("f.x", &Value::I64(7), QoS::Guaranteed).unwrap();
+    let msg = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(msg.value().unwrap(), Value::I64(7));
+    assert_eq!(a.stats().filt_pub_suppressed, 0);
+}

@@ -94,10 +94,23 @@ impl<T> SubjectTrie<T> {
 
     /// Inserts a subscription and returns its identifier.
     pub fn insert(&mut self, filter: &SubjectFilter, value: T) -> SubscriptionId {
+        self.insert_entry(filter, value).0
+    }
+
+    /// Inserts a subscription. Returns its identifier and every
+    /// subscription now stored under exactly `filter`, itself included
+    /// (see [`SubjectTrie::entries_of`]).
+    pub fn insert_entry(
+        &mut self,
+        filter: &SubjectFilter,
+        value: T,
+    ) -> (SubscriptionId, impl Iterator<Item = (SubscriptionId, &T)>) {
         let id = SubscriptionId(self.next_id);
         self.next_id += 1;
+        self.len += 1;
         let mut node = &mut self.root;
         let elements = filter.elements();
+        let mut tail = false;
         for (i, elem) in elements.iter().enumerate() {
             match elem {
                 FilterElement::Literal(lit) => {
@@ -108,15 +121,38 @@ impl<T> SubjectTrie<T> {
                 }
                 FilterElement::Tail => {
                     debug_assert_eq!(i, elements.len() - 1, "'>' is validated to be last");
-                    node.tail_subs.push((id, filter.clone(), value));
-                    self.len += 1;
-                    return id;
+                    tail = true;
                 }
             }
         }
-        node.exact_subs.push((id, filter.clone(), value));
-        self.len += 1;
-        id
+        let subs = if tail {
+            &mut node.tail_subs
+        } else {
+            &mut node.exact_subs
+        };
+        subs.push((id, filter.clone(), value));
+        (id, subs.iter().map(|(id, _, v)| (*id, v)))
+    }
+
+    /// Every subscription stored under exactly `filter` (the same
+    /// filter text), in no particular order.
+    pub fn entries_of(&self, filter: &SubjectFilter) -> impl Iterator<Item = (SubscriptionId, &T)> {
+        self.slot(filter)
+            .into_iter()
+            .flatten()
+            .map(|(id, _, v)| (*id, v))
+    }
+
+    fn slot(&self, filter: &SubjectFilter) -> Option<&[(SubscriptionId, SubjectFilter, T)]> {
+        let mut node = &self.root;
+        for elem in filter.elements() {
+            node = match elem {
+                FilterElement::Literal(lit) => node.literals.get(lit.as_str())?,
+                FilterElement::AnyOne => node.any_one.as_deref()?,
+                FilterElement::Tail => return Some(&node.tail_subs),
+            };
+        }
+        Some(&node.exact_subs)
     }
 
     /// Removes a subscription by identifier, returning its value.
@@ -124,21 +160,28 @@ impl<T> SubjectTrie<T> {
     /// Returns `None` if the identifier is unknown (for example, already
     /// removed). Empty interior nodes are pruned.
     pub fn remove(&mut self, id: SubscriptionId) -> Option<T> {
-        let (value, _) = Self::remove_rec(&mut self.root, id)?;
-        self.len -= 1;
-        Some(value)
+        self.remove_entry(id).map(|(_, value)| value)
     }
 
-    fn remove_rec(node: &mut Node<T>, id: SubscriptionId) -> Option<(T, bool)> {
+    /// Removes a subscription by identifier, returning its filter and
+    /// value.
+    pub fn remove_entry(&mut self, id: SubscriptionId) -> Option<(SubjectFilter, T)> {
+        let (entry, _) = Self::remove_rec(&mut self.root, id)?;
+        self.len -= 1;
+        Some(entry)
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn remove_rec(node: &mut Node<T>, id: SubscriptionId) -> Option<((SubjectFilter, T), bool)> {
         if let Some(pos) = node.exact_subs.iter().position(|(sid, _, _)| *sid == id) {
-            let (_, _, value) = node.exact_subs.swap_remove(pos);
-            return Some((value, node.is_empty()));
+            let (_, filter, value) = node.exact_subs.swap_remove(pos);
+            return Some(((filter, value), node.is_empty()));
         }
         if let Some(pos) = node.tail_subs.iter().position(|(sid, _, _)| *sid == id) {
-            let (_, _, value) = node.tail_subs.swap_remove(pos);
-            return Some((value, node.is_empty()));
+            let (_, filter, value) = node.tail_subs.swap_remove(pos);
+            return Some(((filter, value), node.is_empty()));
         }
-        let mut found: Option<(T, bool)> = None;
+        let mut found: Option<((SubjectFilter, T), bool)> = None;
         let mut prune_key: Option<String> = None;
         for (key, child) in node.literals.iter_mut() {
             if let Some((value, child_empty)) = Self::remove_rec(child, id) {

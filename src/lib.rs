@@ -22,7 +22,7 @@
 //! | [`bus`] | `infobus-core` | daemons, QoS, discovery, RMI, routers |
 //! | [`net`] | `infobus-net` | real UDP socket transport (wall-clock driver of the engine) |
 //! | [`wal`] | `infobus-wal` | crash-safe write-ahead ledger behind durable guaranteed delivery |
-//! | [`edge`] | `infobus-edge` | poll-based reactor daemon + thin-client session broker |
+//! | [`edge`] | `infobus-edge` | netsim `Bus` shim, stadium session bench, conformance suites |
 //! | [`repo`] | `infobus-repo` | relational engine + the Object Repository |
 //! | [`adapters`] | `infobus-adapters` | news feeds, legacy WIP terminal, Keyword Generator |
 //! | [`builder`] | `infobus-builder` | views, scripted apps, News Monitor, auto-UIs |
