@@ -1,36 +1,19 @@
 //! Shard scaling — contended publishers on the in-process bus.
 //!
 //! Four OS threads publish concurrently, each on its own
-//! first-segment-distinct subject, and we measure two things per
-//! configuration:
+//! first-segment-distinct subject, to one subscriber per subject drained
+//! by its own consumer thread. `publish` returns after delivery, so the
+//! rate at which the last publisher finishes is the end-to-end rate.
 //!
-//! - **publisher-side** throughput: messages/second until the last
-//!   *publisher* returns — the cost publishers actually observe;
-//! - **end-to-end** throughput: messages/second until every message has
-//!   reached its subscriber's queue.
+//! Two configurations:
 //!
-//! Three configurations:
-//!
-//! 1. `sync, 1 shard` — every publish serializes the full
+//! 1. `1 shard` — every publish serializes the full
 //!    marshal → sequence → loopback → deliver chain on one engine
-//!    mutex. Publisher-side and end-to-end coincide (publish returns
-//!    post-delivery).
-//! 2. `sync, 4 shards` — per-shard locks: each subject's chain runs
-//!    under its own mutex. On this harness's **single-CPU host** the
-//!    chain is CPU-bound, so removing lock contention recovers only the
-//!    futex/context-switch overhead (a few percent); with real cores
-//!    the shards would run in parallel.
-//! 3. `workers, 4 shards` — [`InprocBus::with_workers`]: one worker
-//!    thread per shard, publishers marshal + hand off and return. This
-//!    is the configuration the contended-publisher speedup targets:
-//!    publish no longer waits on any engine lock or on other subjects'
-//!    delivery work, so publisher-side throughput rises by an order of
-//!    magnitude even on one CPU. End-to-end throughput stays at the
-//!    single-CPU ceiling — the protocol work still has to run
-//!    somewhere — which is why both columns are reported.
-//!
-//! The headline number (and the `assert!`) is the publisher-side
-//! speedup of workers over the single-shard baseline.
+//!    mutex;
+//! 2. `4 shards` — per-shard locks: each subject's chain runs under its
+//!    own mutex, so publishers on subjects owned by different shards
+//!    stop contending. Whether that buys parallelism depends on the
+//!    host's cores and on how the four subjects hash (the routing line).
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -44,17 +27,12 @@ const SUBJECTS: [&str; 4] = ["alpha.bench", "bravo.bench", "charlie.bench", "del
 const MSGS_PER_THREAD: usize = 50_000;
 const ITERATIONS: usize = 3;
 
-/// Throughputs of one configuration: (publisher-side, end-to-end),
-/// total messages per second, best of [`ITERATIONS`].
-fn run_contended(shards: usize, workers: bool) -> (f64, f64) {
-    let mut best = (0.0f64, 0.0f64);
+/// Throughput of one configuration in total messages per second, best
+/// of [`ITERATIONS`].
+fn run_contended(shards: usize) -> f64 {
+    let mut best = 0.0f64;
     for _ in 0..ITERATIONS {
-        let cfg = BusConfig::default().with_shards(shards);
-        let bus = if workers {
-            InprocBus::with_workers(cfg)
-        } else {
-            InprocBus::with_config(cfg)
-        };
+        let bus = InprocBus::with_config(BusConfig::default().with_shards(shards));
         // One subscriber per subject, drained by a consumer thread, so
         // each message traverses the full path including the wake of a
         // blocked receiver.
@@ -85,12 +63,7 @@ fn run_contended(shards: usize, workers: bool) -> (f64, f64) {
         for h in handles {
             h.join().unwrap();
         }
-        let pub_elapsed = start.elapsed().as_secs_f64();
-        // drain() blocks until the shard workers have delivered every
-        // queued hand-off (no-op in sync mode, where publish already
-        // returned post-delivery).
-        bus.drain();
-        let e2e_elapsed = start.elapsed().as_secs_f64();
+        let elapsed = start.elapsed().as_secs_f64();
         let total = (SUBJECTS.len() * MSGS_PER_THREAD) as u64;
         let delivered = bus.stats().delivered;
         assert_eq!(delivered, total, "bench lost messages");
@@ -100,11 +73,7 @@ fn run_contended(shards: usize, workers: bool) -> (f64, f64) {
         for c in consumers {
             c.join().unwrap();
         }
-        let pub_rate = total as f64 / pub_elapsed;
-        let e2e_rate = total as f64 / e2e_elapsed;
-        if pub_rate > best.0 {
-            best = (pub_rate, e2e_rate);
-        }
+        best = best.max(total as f64 / elapsed);
     }
     best
 }
@@ -114,45 +83,33 @@ fn main() {
         .iter()
         .map(|s| format!("{s}→{}", shard_of_subject(s, 4)))
         .collect();
-    let configs = [("sync", 1, false), ("sync", 4, false), ("workers", 4, true)];
-    let results: Vec<(f64, f64)> = configs
-        .iter()
-        .map(|&(_, shards, workers)| run_contended(shards, workers))
-        .collect();
-    let baseline = results[0].0;
+    let configs = [1, 4];
+    let results: Vec<f64> = configs.iter().map(|&s| run_contended(s)).collect();
+    let baseline = results[0];
 
     let header = format!(
-        "{:>8} {:>7} {:>8} {:>14} {:>14} {:>9}",
-        "mode", "shards", "threads", "pub msgs/sec", "e2e msgs/sec", "speedup"
+        "{:>7} {:>8} {:>14} {:>9}",
+        "shards", "threads", "msgs/sec", "speedup"
     );
     let mut rows: Vec<String> = configs
         .iter()
         .zip(&results)
-        .map(|(&(mode, shards, _), &(pub_rate, e2e_rate))| {
+        .map(|(&shards, &rate)| {
             format!(
-                "{:>8} {:>7} {:>8} {:>14.0} {:>14.0} {:>8.2}x",
-                mode,
+                "{:>7} {:>8} {:>14.0} {:>8.2}x",
                 shards,
                 SUBJECTS.len(),
-                pub_rate,
-                e2e_rate,
-                pub_rate / baseline
+                rate,
+                rate / baseline
             )
         })
         .collect();
     rows.push(format!("routing: {}", spread.join(" ")));
     println!(
         "SHARD SCALING: {} contended publishers, distinct first segments, \
-         {} msgs each (single-CPU host: end-to-end is CPU-bound; the win \
-         is publisher-side, via per-shard locks + worker hand-off)\n",
+         {} msgs each, publish→deliver end to end\n",
         SUBJECTS.len(),
         MSGS_PER_THREAD
     );
     emit_table("shard_scaling", &header, &rows);
-    let speedup = results[2].0 / baseline;
-    assert!(
-        speedup >= 1.5,
-        "contended-publisher throughput with shard workers only {speedup:.2}x \
-         the single-shard bus (target >= 1.5x)"
-    );
 }

@@ -31,12 +31,8 @@
 //!   trie walk and its temporary vectors are off the steady-state path
 //!   entirely.
 //!
-//! By default `publish` runs that whole chain synchronously on the
-//! calling thread. [`InprocBus::with_workers`] instead runs one worker
-//! thread per engine shard: publishers marshal and hand off to the
-//! owning shard's worker, which does the sequencing and delivery — the
-//! in-process analogue of the paper's application-to-daemon hand-off
-//! (see the constructor's docs for the contract).
+//! `publish` runs that whole chain synchronously on the calling thread,
+//! under the owning shard's lock only.
 //!
 //! # Examples
 //!
@@ -57,7 +53,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 
 use infobus_subject::{InternedSubject, SubjectTable};
 use infobus_types::{wire, TypeRegistry, Value};
@@ -90,22 +86,6 @@ pub type InprocMessage = Delivery;
 
 /// The single-node host id the in-process engine publishes under.
 const INPROC_HOST: u32 = 1;
-
-/// Work handed from a publishing thread to a shard's worker thread
-/// (worker mode only; see [`InprocBus::with_workers`]). Both fields are
-/// shared handles — the hand-off copies no subject text and no payload
-/// bytes.
-enum Job {
-    /// An interned-subject, already-marshalled publication.
-    Publish {
-        subject: InternedSubject,
-        payload: Bytes,
-        qos: QoS,
-    },
-    /// A drain marker: the worker acks once every job queued before it
-    /// has been fully processed (the hand-off channel is FIFO).
-    Flush(mpsc::Sender<()>),
-}
 
 /// One engine shard plus its reusable action scratch vector. The scratch
 /// lives under the same mutex as the engine, so the fast path drains and
@@ -151,42 +131,6 @@ struct Inner {
     /// The one publisher identity of this bus, cached so a publish
     /// clones an `Arc<str>` instead of allocating a fresh string.
     source: PubSource,
-    /// Worker mode: one hand-off channel per shard, indexed by shard id.
-    /// `None` in the default synchronous mode. Workers hold only a
-    /// [`Weak`] back-reference, so dropping the last bus handle drops
-    /// these senders, which disconnects the receivers and lets every
-    /// worker thread exit.
-    workers: Option<Vec<mpsc::Sender<Job>>>,
-}
-
-impl Inner {
-    fn new(cfg: BusConfig, workers: Option<Vec<mpsc::Sender<Job>>>) -> (Self, usize) {
-        let queue_cap = cfg.subscriber_queue_cap;
-        let pool_slots = cfg.marshal_pool_slots();
-        let semantic = cfg.semantic_map().cloned();
-        let (shards, nv, table) = build_shards(cfg);
-        let n = shards.len();
-        (
-            Inner {
-                shards,
-                nv: Mutex::new(nv),
-                interest: Mutex::new(InterestTable::new(semantic)),
-                registry: Mutex::new(TypeRegistry::with_fundamentals()),
-                now: AtomicU64::new(0),
-                queue_cap,
-                queue_dropped: Arc::new(AtomicU64::new(0)),
-                table,
-                pool: BufPool::with_slots(pool_slots),
-                source: PubSource {
-                    app: "inproc".into(),
-                    inc: 1,
-                    route: None,
-                },
-                workers,
-            },
-            n,
-        )
-    }
 }
 
 /// A thread-safe publish/subscribe bus within one process, driving the
@@ -217,59 +161,29 @@ impl InprocBus {
     /// Panics if a durable ledger directory cannot be opened
     /// (fail-stop; see [`NvStore`]).
     pub fn with_config(cfg: BusConfig) -> Self {
-        let (inner, _) = Inner::new(cfg, None);
+        let queue_cap = cfg.subscriber_queue_cap;
+        let pool_slots = cfg.marshal_pool_slots();
+        let semantic = cfg.semantic_map().cloned();
+        let (shards, nv, table) = build_shards(cfg);
+        let inner = Inner {
+            shards,
+            nv: Mutex::new(nv),
+            interest: Mutex::new(InterestTable::new(semantic)),
+            registry: Mutex::new(TypeRegistry::with_fundamentals()),
+            now: AtomicU64::new(0),
+            queue_cap,
+            queue_dropped: Arc::new(AtomicU64::new(0)),
+            table,
+            pool: BufPool::with_slots(pool_slots),
+            source: PubSource {
+                app: "inproc".into(),
+                inc: 1,
+                route: None,
+            },
+        };
         InprocBus {
             inner: Arc::new(inner),
         }
-    }
-
-    /// Creates a bus that runs one worker thread per engine shard
-    /// (worker mode). [`InprocBus::publish`] then marshals on the
-    /// calling thread, hands the payload to the owning shard's worker
-    /// over a FIFO channel, and returns without waiting for delivery —
-    /// the sequencing → loopback → trie-match → subscriber hand-off
-    /// chain runs on the worker. Publishers on different subjects
-    /// therefore never contend on an engine lock, and a publisher is
-    /// never blocked behind another subject's delivery work; this is
-    /// the in-process analogue of the paper's application-to-daemon
-    /// hand-off.
-    ///
-    /// Ordering is unchanged: one worker per shard and a FIFO hand-off
-    /// channel preserve per-subject publication order end to end.
-    ///
-    /// Caveats of the asynchronous contract:
-    /// - the hand-off queue is unbounded — publishers that outrun a
-    ///   shard's worker trade memory for publisher-side latency;
-    /// - the return value of `publish` counts subscribers matching *at
-    ///   hand-off time*, not at delivery;
-    /// - publications still queued when the last bus handle drops are
-    ///   discarded (the workers exit as their channels disconnect).
-    ///   Call [`InprocBus::drain`] first for a clean shutdown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a durable ledger directory cannot be opened
-    /// (fail-stop; see [`NvStore`]).
-    pub fn with_workers(cfg: BusConfig) -> Self {
-        let inner = Arc::new_cyclic(|weak: &Weak<Inner>| {
-            let (inner, shard_count) = Inner::new(cfg, None);
-            let txs = (0..shard_count)
-                .map(|shard| {
-                    let (tx, rx) = mpsc::channel::<Job>();
-                    let weak = weak.clone();
-                    std::thread::Builder::new()
-                        .name(format!("inproc-shard-{shard}"))
-                        .spawn(move || shard_worker(shard, &weak, &rx))
-                        .expect("spawn shard worker");
-                    tx
-                })
-                .collect();
-            Inner {
-                workers: Some(txs),
-                ..inner
-            }
-        });
-        InprocBus { inner }
     }
 
     /// Registers application types so objects can be marshalled.
@@ -426,9 +340,10 @@ impl InprocBus {
         self.inner.interest.lock().expect("lock poisoned")
     }
 
-    /// Routes an interned, marshalled publication to the owning shard —
-    /// synchronously in the default mode, over the hand-off channel in
-    /// worker mode.
+    /// The tail of a publish: sequence the marshalled payload through
+    /// the owning shard's engine and perform the resulting actions until
+    /// delivery. Returns the number of subscribers the message was
+    /// handed to.
     fn dispatch(
         &self,
         subject: &InternedSubject,
@@ -436,36 +351,6 @@ impl InprocBus {
         qos: QoS,
     ) -> Result<usize, BusError> {
         let shard = shard_of_subject(subject.as_str(), self.inner.shards.len());
-        if let Some(workers) = &self.inner.workers {
-            // Worker mode: count the matching subscribers now (the
-            // caller's view at hand-off time), then let the owning
-            // shard's worker run the protocol and delivery off the
-            // caller's thread.
-            let count = self.interest().targets(subject).count();
-            workers[shard]
-                .send(Job::Publish {
-                    subject: subject.clone(),
-                    payload,
-                    qos,
-                })
-                .expect("shard worker exited");
-            return Ok(count);
-        }
-        Ok(self.publish_on_shard(shard, subject, payload, qos))
-    }
-
-    /// The synchronous tail of a publish: sequence the marshalled
-    /// payload through the owning shard's engine and perform the
-    /// resulting actions until delivery. Runs on the calling thread in
-    /// the default mode and on the shard's worker thread in worker mode.
-    /// Returns the number of subscribers the message was handed to.
-    fn publish_on_shard(
-        &self,
-        shard: usize,
-        subject: &InternedSubject,
-        payload: Bytes,
-        qos: QoS,
-    ) -> usize {
         let now = self.inner.now.fetch_add(1, Ordering::Relaxed) + 1;
         // Only the owning shard's lock is taken: the entire publish →
         // loopback → deliver chain for a subject happens inside one
@@ -521,7 +406,7 @@ impl InprocBus {
         if qos == QoS::Guaranteed {
             self.gd_rounds(&mut slot.engine, shard, now, &mut delivered);
         }
-        delivered
+        Ok(delivered)
     }
 
     /// Runs the guaranteed-delivery ledger's retry rounds synchronously
@@ -543,30 +428,6 @@ impl InprocBus {
             }
             let actions = engine.handle(now, Event::GdRetry { interest });
             self.loopback(engine, shard, now, actions, delivered);
-        }
-    }
-
-    /// Blocks until every publication handed off before this call has
-    /// been fully processed (sequenced and delivered to subscriber
-    /// queues). A no-op in the default synchronous mode, where
-    /// [`InprocBus::publish`] already returns post-delivery. In worker
-    /// mode this is the barrier between "handed to the bus" and
-    /// "visible to subscribers" — call it before reading
-    /// [`InprocBus::stats`] or shutting down.
-    pub fn drain(&self) {
-        let Some(workers) = &self.inner.workers else {
-            return;
-        };
-        let (ack_tx, ack_rx) = mpsc::channel();
-        for tx in workers {
-            tx.send(Job::Flush(ack_tx.clone()))
-                .expect("shard worker exited");
-        }
-        drop(ack_tx);
-        // One ack per worker; the hand-off channels are FIFO, so each
-        // ack proves that shard's earlier jobs are done.
-        for _ in workers {
-            ack_rx.recv().expect("shard worker exited");
         }
     }
 
@@ -796,39 +657,11 @@ impl Bus for InprocBus {
         InprocBus::unsubscribe(self, sub)
     }
 
-    /// Full barrier: in the default synchronous mode delivery already
-    /// happened inside `publish`; in worker mode this waits for every
-    /// queued hand-off (see [`InprocBus::drain`]).
-    fn drain(&self) {
-        InprocBus::drain(self)
-    }
+    /// Delivery already happened inside `publish`.
+    fn drain(&self) {}
 
     fn stats(&self) -> BusStats {
         InprocBus::stats(self)
-    }
-}
-
-/// A shard worker's main loop (worker mode): run publications for one
-/// shard until every bus handle is gone. The worker holds only a
-/// [`Weak`] so it cannot keep the bus alive; once the last handle drops,
-/// the senders owned by [`Inner`] drop with it, the channel
-/// disconnects, and the loop — and thread — ends.
-fn shard_worker(shard: usize, weak: &Weak<Inner>, rx: &mpsc::Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Publish {
-                subject,
-                payload,
-                qos,
-            } => {
-                let Some(inner) = weak.upgrade() else { return };
-                let bus = InprocBus { inner };
-                bus.publish_on_shard(shard, &subject, payload, qos);
-            }
-            Job::Flush(ack) => {
-                let _ = ack.send(());
-            }
-        }
     }
 }
 
@@ -1023,74 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_mode_delivers_everything_in_order_after_drain() {
-        let bus = InprocBus::with_workers(BusConfig::default().with_shards(4));
-        let subjects = ["alpha.w", "bravo.w", "charlie.w", "delta.w"];
-        let mut rxs = Vec::new();
-        for s in subjects {
-            rxs.push(bus.subscribe(s).unwrap().1);
-        }
-        for i in 0..50i64 {
-            for s in subjects {
-                // Hand-off time: one matching subscriber per subject.
-                assert_eq!(bus.publish(s, &Value::I64(i), QoS::Reliable).unwrap(), 1);
-            }
-        }
-        // The barrier: after drain, every hand-off has been sequenced
-        // and delivered, so the queues and counters are settled.
-        bus.drain();
-        for rx in &rxs {
-            let got: Vec<Value> = rx.try_iter().map(|m| m.value().unwrap()).collect();
-            assert_eq!(got, (0..50).map(Value::I64).collect::<Vec<_>>());
-        }
-        let snap = bus.sharded_stats();
-        assert_eq!(snap.merged.published, 200);
-        assert_eq!(snap.merged.delivered, 200);
-        assert_eq!(snap.merged.dups_dropped, 0);
-        let active = snap.per_shard.iter().filter(|s| s.published > 0).count();
-        assert!(active > 1, "all subjects hashed to one shard");
-    }
-
-    #[test]
-    fn worker_mode_concurrent_publishers_keep_per_subject_order() {
-        let bus = InprocBus::with_workers(BusConfig::default().with_shards(4));
-        let subjects = ["alpha.mt", "bravo.mt", "charlie.mt", "delta.mt"];
-        let mut rxs = Vec::new();
-        for s in subjects {
-            rxs.push(bus.subscribe(s).unwrap().1);
-        }
-        let handles: Vec<_> = subjects
-            .into_iter()
-            .map(|s| {
-                let bus = bus.clone();
-                thread::spawn(move || {
-                    for i in 0..200i64 {
-                        bus.publish(s, &Value::I64(i), QoS::Reliable).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        bus.drain();
-        for rx in &rxs {
-            let got: Vec<Value> = rx.try_iter().map(|m| m.value().unwrap()).collect();
-            assert_eq!(got, (0..200).map(Value::I64).collect::<Vec<_>>());
-        }
-        assert_eq!(bus.stats().delivered, 800);
-    }
-
-    #[test]
-    fn worker_mode_drain_on_sync_bus_is_a_no_op() {
-        let bus = InprocBus::new();
-        let (_sub, rx) = bus.subscribe("a.b").unwrap();
-        bus.publish("a.b", &Value::I64(1), QoS::Reliable).unwrap();
-        bus.drain();
-        assert_eq!(rx.try_iter().count(), 1);
-    }
-
-    #[test]
     fn guaranteed_publish_delivers_and_completes_the_ledger() {
         let bus = InprocBus::new();
         let (_sub, rx) = bus.subscribe("gd.>").unwrap();
@@ -1263,7 +1028,6 @@ mod tests {
         // still gated per delivery.
         bus.publish("m.k", &quote("GMC", 10.0), QoS::Reliable)
             .unwrap();
-        bus.drain();
         assert_eq!(all_rx.try_iter().count(), 1);
         assert_eq!(filt_rx.try_iter().count(), 0);
         let stats = bus.stats();

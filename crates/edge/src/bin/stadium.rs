@@ -1,13 +1,14 @@
 //! The stadium bench: one edge daemon's session plane carrying 100k+
 //! thin-client sessions.
 //!
-//! Drives the sans-I/O [`SessionBroker`] directly — the same state
-//! machine a session-serving `UdpBus` runs, minus the socket — so the
-//! numbers measure
-//! the session plane itself: join rate, fan-out rate, heartbeat scan
-//! and eviction cost at six-figure session counts. Per-session state is
-//! a map entry, a cursor, and a trie subscription; no threads, no
-//! buffers per client.
+//! Drives the sans-I/O [`SessionBroker`] and an [`InterestTable`]
+//! directly — the composition a session-serving `UdpBus` runs, minus
+//! the socket: session subscriptions are table entries, and a delivery
+//! is one memoized match in the table, then one broker delivery per
+//! accepting session. So the numbers measure the session plane itself:
+//! join rate, fan-out rate, heartbeat scan and eviction cost at
+//! six-figure session counts. Per-session state is a map entry, a
+//! cursor, and a table entry; no threads, no buffers per client.
 //!
 //! Phases:
 //!
@@ -27,9 +28,9 @@
 use std::time::Instant;
 
 use infobus_core::engine::BusStats;
-use infobus_core::{BusConfig, QoS};
+use infobus_core::{BusConfig, InterestTable, QoS};
 use infobus_net::{ConnId, SessOut, SessionBroker, SessionFrame, SESSION_PROTO};
-use infobus_subject::Subject;
+use infobus_subject::{InternedSubject, SubjectTable};
 
 /// Subject groups ("sections" of the stadium).
 const SECTIONS: usize = 128;
@@ -53,17 +54,58 @@ fn hello(i: u64) -> SessionFrame {
     }
 }
 
-fn join(broker: &mut SessionBroker, now: u64, conn: ConnId, section: usize) {
-    broker.handle_frame(now, conn, hello(conn.0));
-    broker.handle_frame(
-        now,
-        conn,
-        SessionFrame::Subscribe {
+/// The session plane: the broker and the interest table it files
+/// session subscriptions in.
+struct Plane {
+    broker: SessionBroker,
+    interest: InterestTable<ConnId>,
+}
+
+impl Plane {
+    fn frame(&mut self, now: u64, conn: ConnId, frame: SessionFrame) -> Vec<SessOut> {
+        self.broker
+            .handle_frame(now, conn, frame, &mut self.interest)
+            .0
+    }
+
+    fn join(&mut self, now: u64, conn: ConnId, section: usize) {
+        self.frame(now, conn, hello(conn.0));
+        let subscribe = SessionFrame::Subscribe {
             sub: 1,
             filter: format!("stadium.s{section}.>"),
             pred: vec![],
-        },
-    );
+        };
+        self.frame(now, conn, subscribe);
+    }
+
+    /// One delivery, as `UdpBus` fans it out: the table matches and
+    /// gates, each accepting session gets one copy from the broker.
+    /// Returns the frames to send.
+    fn deliver(
+        &mut self,
+        subject: &InternedSubject,
+        payload: &[u8],
+    ) -> Vec<(ConnId, SessionFrame)> {
+        let mut conns = Vec::new();
+        self.interest.deliver(
+            subject,
+            payload.len(),
+            &mut None,
+            || None,
+            |&conn| {
+                conns.push(conn);
+                false
+            },
+        );
+        conns.sort_unstable();
+        conns.dedup();
+        let text = subject.as_str();
+        let broker = &mut self.broker;
+        conns
+            .into_iter()
+            .filter_map(|c| Some((c, broker.deliver(c, text, payload, false)?)))
+            .collect()
+    }
 }
 
 fn main() {
@@ -77,17 +119,21 @@ fn main() {
         // Lag ceiling 2 → backlog cap 8: sixteen rounds give the slow
         // cohort 2 sent, 8 buffered, 6 dropped.
         .with_session_cursor_lag(2);
-    let mut broker = SessionBroker::new(&cfg, TOKEN);
+    let mut plane = Plane {
+        broker: SessionBroker::new(&cfg, TOKEN),
+        interest: InterestTable::new(None),
+    };
+    let subjects = SubjectTable::new();
     let mut now: u64 = 0;
     let wall = Instant::now();
 
     // Phase 1: join.
     let t = Instant::now();
     for i in 0..n {
-        join(&mut broker, now, ConnId(i as u64 + 1), i % SECTIONS);
+        plane.join(now, ConnId(i as u64 + 1), i % SECTIONS);
     }
     let join_s = t.elapsed().as_secs_f64();
-    assert_eq!(broker.active(), n);
+    assert_eq!(plane.broker.active(), n);
 
     // Phase 2: fan-out. Sessions ack every delivery except the slow
     // ones, which stop acking and ride the backpressure path.
@@ -95,20 +141,14 @@ fn main() {
     let mut published = 0u64;
     for _ in 0..ROUNDS {
         for sec in 0..SECTIONS {
-            let text = format!("stadium.s{sec}.px");
-            let subject = Subject::new(&text).expect("static subject");
+            let subject = subjects
+                .intern(&format!("stadium.s{sec}.px"))
+                .expect("static subject");
             published += 1;
-            let outs = broker
-                .on_deliver(&subject, &text, b"tick", false, &mut || None)
-                .0;
-            for out in outs {
-                if let SessOut::Send {
-                    conn,
-                    frame: SessionFrame::Deliver { cursor, .. },
-                } = out
-                {
+            for (conn, frame) in plane.deliver(&subject, b"tick") {
+                if let SessionFrame::Deliver { cursor, .. } = frame {
                     if conn.0 % SLOW_EVERY != 0 {
-                        broker.handle_frame(now, conn, SessionFrame::Ack { cursor });
+                        plane.frame(now, conn, SessionFrame::Ack { cursor });
                     }
                 }
             }
@@ -123,7 +163,7 @@ fn main() {
     let t = Instant::now();
     for i in (0..n).step_by(PUB_EVERY) {
         let subject_text = format!("stadium.s{}.fan", i % SECTIONS);
-        let outs = broker.handle_frame(
+        let outs = plane.frame(
             now,
             ConnId(i as u64 + 1),
             SessionFrame::Publish {
@@ -134,9 +174,9 @@ fn main() {
         );
         for out in outs {
             if let SessOut::Publish { subject, .. } = out {
-                let parsed = Subject::new(&subject).expect("session subject");
+                let subject = subjects.intern(&subject).expect("session subject");
                 published += 1;
-                broker.on_deliver(&parsed, &subject, b"roar", false, &mut || None);
+                plane.deliver(&subject, b"roar");
             }
         }
     }
@@ -154,10 +194,10 @@ fn main() {
     // then scan just after it: the silent are stale, the survivors fresh.
     now += cfg.session_timeout_us - 1_000;
     for &conn in &survivors {
-        broker.handle_frame(now, conn, SessionFrame::Heartbeat);
+        plane.frame(now, conn, SessionFrame::Heartbeat);
     }
     now += 2_000;
-    let evict_outs = broker.on_tick(now);
+    let (evict_outs, _) = plane.broker.on_tick(now, &mut plane.interest);
     let evicted = evict_outs
         .iter()
         .filter(|o| matches!(o, SessOut::Closed { .. }))
@@ -165,14 +205,15 @@ fn main() {
     let rejoined = n - survivors.len();
     for i in 0..rejoined {
         let conn = ConnId((n + i) as u64 + 1);
-        join(&mut broker, now, conn, i % SECTIONS);
+        plane.join(now, conn, i % SECTIONS);
     }
     let churn_s = t.elapsed().as_secs_f64();
-    assert_eq!(broker.active(), n, "churn must be conservative");
+    assert_eq!(plane.broker.active(), n, "churn must be conservative");
+    assert_eq!(plane.interest.len(), n, "evictions must leave the table");
 
     let wall_s = wall.elapsed().as_secs_f64();
     let mut s = BusStats::default();
-    broker.stats_into(&mut s);
+    plane.broker.stats_into(&mut s);
     let ratio = s.sess_delivered as f64 / published as f64;
 
     println!("stadium: one daemon's session plane, driven at memory speed");

@@ -18,8 +18,9 @@
 //! This crate provides [`SimBus`], the netsim daemon behind the unified
 //! `Bus` trait, so the cross-driver conformance suite runs the
 //! simulator alongside the in-process and UDP drivers with the same
-//! assertions; the `stadium` bench, which drives the session broker at
-//! six-figure session counts; and the conformance and session suites.
+//! assertions; the `stadium` bench, which drives the session broker and
+//! its interest table at six-figure session counts; and the conformance
+//! and session suites.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,11 +6,11 @@
 use std::net::UdpSocket;
 use std::time::Duration;
 
-use infobus_core::{BusConfig, QoS};
+use infobus_core::{BusConfig, CompiledPredicate, Predicate, QoS};
 use infobus_net::{
     decode_session_frame, encode_session_frame, SessionFrame, UdpBus, UdpConfig, SESSION_PROTO,
 };
-use infobus_types::Value;
+use infobus_types::{wire, TypeRegistry, Value};
 
 const TOKEN: u64 = 0xCAFE;
 
@@ -134,8 +134,8 @@ fn handshake_subscribe_deliver_ack_and_fan_in() {
     // reaches API subscribers on the daemon.
     let (_sub, rx) = edge.subscribe("orders.>").unwrap();
     let payload = {
-        let reg = infobus_types::TypeRegistry::with_fundamentals();
-        infobus_types::wire::marshal_self_describing(&Value::str("buy"), &reg).unwrap()
+        let reg = TypeRegistry::with_fundamentals();
+        wire::marshal_self_describing(&Value::str("buy"), &reg).unwrap()
     };
     client.send(&SessionFrame::Publish {
         subject: "orders.new".into(),
@@ -353,4 +353,89 @@ fn lost_announcement_heals_through_the_periodic_refresh() {
             break;
         }
     }
+}
+
+#[test]
+fn overlapping_session_filters_deliver_once() {
+    let edge = UdpBus::bind(UdpConfig::new(1).with_bus(fast()).with_session_token(TOKEN)).unwrap();
+    let client = Client::connect(edge.local_addr());
+    client.hello();
+    for (sub, filter) in [(1, "m.>"), (2, "m.x")] {
+        client.send(&SessionFrame::Subscribe {
+            sub,
+            filter: filter.into(),
+            pred: vec![],
+        });
+    }
+    std::thread::sleep(Duration::from_millis(50));
+
+    for i in 0..3i64 {
+        let n = edge.publish("m.x", &Value::I64(i), QoS::Reliable).unwrap();
+        assert_eq!(n, 1, "one session, one copy");
+    }
+    edge.publish("m.y", &Value::I64(3), QoS::Reliable).unwrap();
+    assert_eq!(client.drain_delivers(), vec![1, 2, 3, 4]);
+    assert_eq!(edge.stats().sess_delivered, 4);
+}
+
+/// The value a session `Deliver` carries.
+fn delivered_value(frame: SessionFrame) -> Value {
+    match frame {
+        SessionFrame::Deliver { payload, .. } => {
+            wire::unmarshal(&payload, &mut TypeRegistry::with_fundamentals()).unwrap()
+        }
+        other => panic!("expected Deliver, got {other:?}"),
+    }
+}
+
+#[test]
+fn session_predicates_gate_at_the_daemon_and_travel_in_the_announcement() {
+    let remote = UdpBus::bind(UdpConfig::new(1).with_bus(fast()).with_app("remote")).unwrap();
+    let edge = UdpBus::bind(
+        UdpConfig::new(2)
+            .with_bus(fast())
+            .with_app("edge")
+            .with_session_token(TOKEN),
+    )
+    .unwrap();
+    remote.add_peer(2, edge.local_addr()).unwrap();
+    edge.add_peer(1, remote.local_addr()).unwrap();
+
+    let client = Client::connect(edge.local_addr());
+    client.hello();
+    let pred = CompiledPredicate::compile(&Predicate::ge("", Value::I64(10))).unwrap();
+    client.send(&SessionFrame::Subscribe {
+        sub: 1,
+        filter: "p.>".into(),
+        pred: pred.to_bytes(),
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !remote.peer_filters().contains(&"p.>".to_owned()) {
+        assert!(std::time::Instant::now() < deadline, "never announced");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The session's predicate is the only interest in `p.>`, so the
+    // publishing daemon suppresses what it rejects before sending.
+    let n = remote
+        .publish("p.x", &Value::I64(5), QoS::Reliable)
+        .unwrap();
+    assert_eq!(n, 0);
+    assert_eq!(remote.stats().filt_pub_suppressed, 1);
+    remote
+        .publish("p.x", &Value::I64(20), QoS::Reliable)
+        .unwrap();
+    assert_eq!(delivered_value(client.recv()), Value::I64(20));
+
+    // An unfiltered API subscriber on the edge defeats the publish gate;
+    // the delivery gate then keeps the rejected value from the session.
+    let (_sub, rx) = edge.subscribe("p.>").unwrap();
+    edge.publish("p.x", &Value::I64(6), QoS::Reliable).unwrap();
+    edge.publish("p.x", &Value::I64(30), QoS::Reliable).unwrap();
+    assert_eq!(rx.recv().unwrap().value().unwrap(), Value::I64(6));
+    assert_eq!(rx.recv().unwrap().value().unwrap(), Value::I64(30));
+    assert_eq!(delivered_value(client.recv()), Value::I64(30));
+    let stats = edge.stats();
+    assert_eq!(stats.filt_delivery_suppressed, 1);
+    assert_eq!(stats.sess_delivered, 2);
 }

@@ -13,6 +13,16 @@
 //! (`UdpBus` keys it off the client's socket address; a bench keys it
 //! off a loop index). The broker never sees addresses.
 //!
+//! **Interest.** Session subscriptions live in the hosting daemon's
+//! [`InterestTable`], one entry per subscription, targeting the
+//! session's [`ConnId`] and carrying its predicate. So one memoized
+//! match serves API subscribers and sessions alike, the table's delivery
+//! gate evaluates session predicates, and its announce deltas tell peers
+//! what sessions want. The broker keeps only each session's map from
+//! client subscription id to table entry. The driver matches a delivery
+//! in the table and hands each accepted session, once, to
+//! [`SessionBroker::deliver`].
+//!
 //! **Backpressure.** Each session has a delivery cursor; the client acks
 //! cumulatively. When `cursor_next - 1 - cursor_acked` reaches the
 //! configured lag ceiling the session *pauses*: further matches are
@@ -22,15 +32,18 @@
 //! costs itself, never the bus — queue growth is capped per session, as
 //! the paper's daemon caps per-subscriber queues.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use infobus_core::engine::{BusStats, Micros};
-use infobus_core::{BusConfig, CompiledPredicate, QoS};
-use infobus_subject::{Subject, SubjectFilter, SubjectTrie, SubscriptionId};
-use infobus_types::Value;
+use infobus_core::{BusConfig, CompiledPredicate, InterestTable, QoS};
+use infobus_subject::{SubjectFilter, SubscriptionId};
 
 use crate::session::{SessionFrame, SESSION_PROTO};
+
+/// An interest-table announce delta: the filters to re-announce and
+/// those to withdraw (see [`InterestTable::unsubscribe`]).
+type Delta = (Vec<String>, Vec<String>);
 
 /// Opaque session/connection key, assigned by the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -57,14 +70,9 @@ pub enum SessOut {
         /// Marshalled self-describing payload.
         payload: Vec<u8>,
     },
-    /// The aggregate session interest gained its first instance of
-    /// `filter` — the hosting daemon should announce it to peers.
-    FilterAdded(String),
-    /// The last session subscription on `filter` went away — the
-    /// hosting daemon should announce the removal.
-    FilterRemoved(String),
-    /// The session is gone (bye, eviction, or rejected hello); the
-    /// driver should forget its transport mapping.
+    /// The session is gone (bye, eviction, rejected hello), or never
+    /// existed (a frame without one); the driver should forget its
+    /// transport mapping.
     Closed {
         /// The session that ended.
         conn: ConnId,
@@ -82,7 +90,7 @@ struct Session {
     /// Deliveries withheld while paused, oldest first. Bounded at
     /// 4 × `cursor_lag`; overflow drops the oldest (counted).
     backlog: VecDeque<SessionFrame>,
-    /// Client subscription id → trie id.
+    /// Client subscription id → its interest-table entry.
     subs: HashMap<u64, SubscriptionId>,
 }
 
@@ -93,14 +101,6 @@ pub struct SessionBroker {
     heartbeat_period_us: Micros,
     cursor_lag: u64,
     sessions: HashMap<ConnId, Session>,
-    /// Matches subjects to sessions.
-    trie: SubjectTrie<ConnId>,
-    /// Aggregate filter refcounts, for `FilterAdded`/`FilterRemoved`.
-    filter_refs: HashMap<String, usize>,
-    /// Trie id → canonical filter text (drives the refcounts above).
-    sub_texts: HashMap<SubscriptionId, String>,
-    /// Trie id → content predicate, for predicated session subs only.
-    sub_preds: HashMap<SubscriptionId, Arc<CompiledPredicate>>,
     next_session_id: u64,
     opened: u64,
     rejected: u64,
@@ -111,9 +111,6 @@ pub struct SessionBroker {
     delivered: u64,
     paused: u64,
     dropped: u64,
-    filt_evals: u64,
-    filt_suppressed: u64,
-    filt_suppressed_bytes: u64,
 }
 
 impl SessionBroker {
@@ -126,10 +123,6 @@ impl SessionBroker {
             heartbeat_period_us: cfg.heartbeat_period_us,
             cursor_lag: cfg.session_cursor_lag.max(1),
             sessions: HashMap::new(),
-            trie: SubjectTrie::new(),
-            filter_refs: HashMap::new(),
-            sub_texts: HashMap::new(),
-            sub_preds: HashMap::new(),
             next_session_id: 1,
             opened: 0,
             rejected: 0,
@@ -140,9 +133,6 @@ impl SessionBroker {
             published: 0,
             paused: 0,
             dropped: 0,
-            filt_evals: 0,
-            filt_suppressed: 0,
-            filt_suppressed_bytes: 0,
         }
     }
 
@@ -157,21 +147,33 @@ impl SessionBroker {
         self.heartbeat_period_us
     }
 
-    /// Handles one inbound frame from `conn`.
-    pub fn handle_frame(&mut self, now: Micros, conn: ConnId, frame: SessionFrame) -> Vec<SessOut> {
+    /// Handles one inbound frame from `conn`. Session subscriptions are
+    /// filed in `interest`, the hosting daemon's interest table, as
+    /// entries targeting `T::from(conn)`. Returns the actions and the
+    /// table's announce delta, for the driver to send.
+    pub fn handle_frame<T: Clone + From<ConnId>>(
+        &mut self,
+        now: Micros,
+        conn: ConnId,
+        frame: SessionFrame,
+        interest: &mut InterestTable<T>,
+    ) -> (Vec<SessOut>, Delta) {
         let mut out = Vec::new();
+        let mut delta = Delta::default();
         if let Some(sess) = self.sessions.get_mut(&conn) {
             sess.last_heard = now;
         } else if !matches!(frame, SessionFrame::Hello { .. }) {
             // No session: anything but a hello earns an eviction notice
-            // so a restarted client learns to re-handshake.
+            // so a restarted client learns to re-handshake, and the
+            // driver forgets the sender again.
             out.push(SessOut::Send {
                 conn,
                 frame: SessionFrame::Evict {
                     reason: "unknown session".into(),
                 },
             });
-            return out;
+            out.push(SessOut::Closed { conn });
+            return (out, delta);
         }
         match frame {
             SessionFrame::Hello { proto, token, .. } => {
@@ -187,7 +189,7 @@ impl SessionBroker {
                         frame: SessionFrame::Reject { reason },
                     });
                     out.push(SessOut::Closed { conn });
-                    return out;
+                    return (out, delta);
                 }
                 let id = match self.sessions.get(&conn) {
                     // Duplicate hello (client retry): re-welcome, same
@@ -224,29 +226,20 @@ impl SessionBroker {
             }
             SessionFrame::Subscribe { sub, filter, pred } => match SubjectFilter::new(&filter) {
                 Ok(f) => {
-                    let text = f.as_str().to_owned();
-                    let trie_id = self.trie.insert(&f, conn);
-                    self.sub_texts.insert(trie_id, text.clone());
                     // Malformed predicate bytes degrade to unfiltered —
                     // over-delivery, never a lost message.
-                    if !pred.is_empty() {
-                        if let Ok(p) = CompiledPredicate::from_bytes(&pred) {
-                            self.sub_preds.insert(trie_id, Arc::new(p));
-                        }
-                    }
-                    let refs = self.filter_refs.entry(text.clone()).or_insert(0);
-                    *refs += 1;
-                    if *refs == 1 {
-                        out.push(SessOut::FilterAdded(text));
-                    }
-                    let replaced = {
-                        let sess = self.sessions.get_mut(&conn).expect("checked above");
-                        sess.subs.insert(sub, trie_id)
+                    let pred = if pred.is_empty() {
+                        None
+                    } else {
+                        CompiledPredicate::from_bytes(&pred).ok().map(Arc::new)
                     };
+                    let (id, added) = interest.insert(&f, T::from(conn), now, pred);
+                    merge(&mut delta, added);
+                    let sess = self.sessions.get_mut(&conn).expect("checked above");
                     // Client reused a sub id: the old subscription is
                     // replaced.
-                    if let Some(old) = replaced {
-                        self.drop_trie_sub(old, &mut out);
+                    if let Some(old) = sess.subs.insert(sub, id) {
+                        merge(&mut delta, interest.unsubscribe(old));
                     }
                 }
                 Err(e) => out.push(SessOut::Send {
@@ -258,8 +251,8 @@ impl SessionBroker {
             },
             SessionFrame::Unsubscribe { sub } => {
                 let sess = self.sessions.get_mut(&conn).expect("checked above");
-                if let Some(trie_id) = sess.subs.remove(&sub) {
-                    self.drop_trie_sub(trie_id, &mut out);
+                if let Some(id) = sess.subs.remove(&sub) {
+                    merge(&mut delta, interest.unsubscribe(id));
                 }
             }
             SessionFrame::Publish {
@@ -285,11 +278,8 @@ impl SessionBroker {
                         break;
                     }
                     match sess.backlog.pop_front() {
-                        Some(mut frame) => {
-                            if let SessionFrame::Deliver { cursor, .. } = &mut frame {
-                                *cursor = sess.cursor_next;
-                            }
-                            sess.cursor_next += 1;
+                        Some(frame) => {
+                            let frame = sess.stamp(frame);
                             out.push(SessOut::Send { conn, frame });
                         }
                         None => sess.paused = false,
@@ -299,7 +289,7 @@ impl SessionBroker {
             SessionFrame::Heartbeat => self.heartbeats += 1,
             SessionFrame::Bye => {
                 self.closed += 1;
-                self.close_session(conn, &mut out);
+                self.close_session(conn, interest, &mut out, &mut delta);
             }
             // Daemon-originated frames arriving inbound are client bugs;
             // drop them (the session stays fresh — any frame is life).
@@ -308,104 +298,62 @@ impl SessionBroker {
             | SessionFrame::Deliver { .. }
             | SessionFrame::Evict { .. } => {}
         }
-        out
+        (out, delta)
     }
 
-    /// Fans one bus delivery out to every matching session.
-    ///
-    /// `subject` must be the parsed form of `text`. Sessions with
-    /// multiple matching filters get one copy. Paused sessions buffer
-    /// (bounded, drop-oldest) instead of sending.
-    ///
-    /// `value_of` unmarshals `payload` on demand; it is called at most
-    /// once, and only when some matching subscription carries a content
-    /// predicate. A session gets the copy if *any* of its matching
-    /// subscriptions accepts (predicate-free subscriptions always
-    /// accept); if the payload does not unmarshal, everyone does.
-    ///
-    /// Returns the actions plus the number of sessions whose every
-    /// matching predicate rejected the payload — for guaranteed QoS a
-    /// rejection still counts as consumption.
-    pub fn on_deliver(
+    /// Delivers one publication to `conn`, a session whose subscription
+    /// the interest table matched and accepted. The driver calls this
+    /// once per session, however many of its subscriptions matched.
+    /// Returns the cursor-stamped frame to send now, or `None` when the
+    /// session is gone or paused (the delivery is buffered, bounded,
+    /// drop-oldest).
+    pub fn deliver(
         &mut self,
-        subject: &Subject,
-        text: &str,
+        conn: ConnId,
+        subject: &str,
         payload: &[u8],
         redelivery: bool,
-        value_of: &mut dyn FnMut() -> Option<Value>,
-    ) -> (Vec<SessOut>, usize) {
-        let mut out = Vec::new();
-        let mut rejected = 0usize;
-        let mut value: Option<Option<Value>> = None;
-        let mut accepts: BTreeMap<ConnId, bool> = BTreeMap::new();
-        for (trie_id, conn) in self.trie.matches(subject) {
-            let entry = accepts.entry(*conn).or_insert(false);
-            if *entry {
-                continue;
+    ) -> Option<SessionFrame> {
+        let lag_cap = self.cursor_lag;
+        let sess = self.sessions.get_mut(&conn)?;
+        self.delivered += 1;
+        // Cursor assigned on send, so the stream stays gapless after
+        // drops.
+        let frame = SessionFrame::Deliver {
+            cursor: 0,
+            subject: subject.to_owned(),
+            redelivery,
+            payload: payload.to_vec(),
+        };
+        if sess.paused {
+            if sess.backlog.len() >= (lag_cap as usize) * 4 {
+                sess.backlog.pop_front();
+                self.dropped += 1;
             }
-            *entry = match self.sub_preds.get(&trie_id) {
-                None => true,
-                Some(p) => {
-                    self.filt_evals += 1;
-                    match value.get_or_insert_with(&mut *value_of) {
-                        Some(v) => p.eval(v),
-                        None => true,
-                    }
-                }
-            };
+            sess.backlog.push_back(frame);
+            return None;
         }
-        for (conn, accept) in accepts {
-            if !accept {
-                rejected += 1;
-                self.filt_suppressed += 1;
-                self.filt_suppressed_bytes += payload.len() as u64;
-                continue;
-            }
-            let lag_cap = self.cursor_lag;
-            let Some(sess) = self.sessions.get_mut(&conn) else {
-                continue;
-            };
-            self.delivered += 1;
-            if sess.paused {
-                if sess.backlog.len() >= (lag_cap as usize) * 4 {
-                    sess.backlog.pop_front();
-                    self.dropped += 1;
-                }
-                // Cursor assigned on send, so the stream stays gapless
-                // after drops.
-                sess.backlog.push_back(SessionFrame::Deliver {
-                    cursor: 0,
-                    subject: text.to_owned(),
-                    redelivery,
-                    payload: payload.to_vec(),
-                });
-                continue;
-            }
-            let cursor = sess.cursor_next;
-            sess.cursor_next += 1;
-            out.push(SessOut::Send {
-                conn,
-                frame: SessionFrame::Deliver {
-                    cursor,
-                    subject: text.to_owned(),
-                    redelivery,
-                    payload: payload.to_vec(),
-                },
-            });
-            let lag = (sess.cursor_next - 1).saturating_sub(sess.cursor_acked);
-            if lag >= lag_cap {
-                sess.paused = true;
-                self.paused += 1;
-            }
+        let frame = sess.stamp(frame);
+        let lag = (sess.cursor_next - 1).saturating_sub(sess.cursor_acked);
+        if lag >= lag_cap {
+            sess.paused = true;
+            self.paused += 1;
         }
-        (out, rejected)
+        Some(frame)
     }
 
     /// Freshness scan: evicts every session silent for longer than the
     /// session timeout. Call at least every
-    /// [`scan_period_us`](SessionBroker::scan_period_us).
-    pub fn on_tick(&mut self, now: Micros) -> Vec<SessOut> {
+    /// [`scan_period_us`](SessionBroker::scan_period_us). The evicted
+    /// sessions' subscriptions leave `interest`; the table's announce
+    /// delta is returned alongside the actions.
+    pub fn on_tick<T: Clone>(
+        &mut self,
+        now: Micros,
+        interest: &mut InterestTable<T>,
+    ) -> (Vec<SessOut>, Delta) {
         let mut out = Vec::new();
+        let mut delta = Delta::default();
         let stale: Vec<ConnId> = self
             .sessions
             .iter()
@@ -420,9 +368,9 @@ impl SessionBroker {
                     reason: "heartbeat timeout".into(),
                 },
             });
-            self.close_session(conn, &mut out);
+            self.close_session(conn, interest, &mut out, &mut delta);
         }
-        out
+        (out, delta)
     }
 
     /// Writes the session counters into `stats` (the `sess_*` family).
@@ -437,44 +385,47 @@ impl SessionBroker {
         stats.sess_delivered = self.delivered;
         stats.sess_paused = self.paused;
         stats.sess_dropped = self.dropped;
-        // Session-side filter suppression composes with the engine's own
-        // `filt_*` counters, so accumulate rather than overwrite.
-        stats.filt_evals += self.filt_evals;
-        stats.filt_delivery_suppressed += self.filt_suppressed;
-        stats.filt_suppressed_bytes += self.filt_suppressed_bytes;
     }
 
-    fn drop_trie_sub(&mut self, trie_id: SubscriptionId, out: &mut Vec<SessOut>) {
-        if self.trie.remove(trie_id).is_none() {
-            return;
-        }
-        self.sub_preds.remove(&trie_id);
-        let Some(text) = self.sub_texts.remove(&trie_id) else {
-            return;
-        };
-        if let Some(refs) = self.filter_refs.get_mut(&text) {
-            *refs -= 1;
-            if *refs == 0 {
-                self.filter_refs.remove(&text);
-                out.push(SessOut::FilterRemoved(text));
-            }
-        }
-    }
-
-    fn close_session(&mut self, conn: ConnId, out: &mut Vec<SessOut>) {
+    fn close_session<T: Clone>(
+        &mut self,
+        conn: ConnId,
+        interest: &mut InterestTable<T>,
+        out: &mut Vec<SessOut>,
+        delta: &mut Delta,
+    ) {
         let Some(sess) = self.sessions.remove(&conn) else {
             return;
         };
-        for (_, trie_id) in sess.subs {
-            self.drop_trie_sub(trie_id, out);
+        for (_, id) in sess.subs {
+            merge(delta, interest.unsubscribe(id));
         }
         out.push(SessOut::Closed { conn });
     }
 }
 
+impl Session {
+    /// Stamps a deliver frame with the next cursor.
+    fn stamp(&mut self, mut frame: SessionFrame) -> SessionFrame {
+        if let SessionFrame::Deliver { cursor, .. } = &mut frame {
+            *cursor = self.cursor_next;
+        }
+        self.cursor_next += 1;
+        frame
+    }
+}
+
+fn merge(into: &mut Delta, (add, remove): Delta) {
+    into.0.extend(add);
+    into.1.extend(remove);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use infobus_core::Predicate;
+    use infobus_subject::SubjectTable;
+    use infobus_types::Value;
 
     fn cfg() -> BusConfig {
         BusConfig::default()
@@ -491,21 +442,94 @@ mod tests {
         }
     }
 
-    fn open(b: &mut SessionBroker, conn: ConnId, now: Micros) {
-        let out = b.handle_frame(now, conn, hello(9));
-        assert!(matches!(
-            out[0],
-            SessOut::Send {
-                frame: SessionFrame::Welcome { .. },
-                ..
+    fn subscribe(sub: u64, filter: &str) -> SessionFrame {
+        SessionFrame::Subscribe {
+            sub,
+            filter: filter.into(),
+            pred: vec![],
+        }
+    }
+
+    /// A broker and the interest table it files subscriptions in: the
+    /// composition a session-serving `UdpBus` runs.
+    struct Plane {
+        broker: SessionBroker,
+        interest: InterestTable<ConnId>,
+        subjects: SubjectTable,
+    }
+
+    impl Plane {
+        fn new() -> Plane {
+            Plane {
+                broker: SessionBroker::new(&cfg(), 9),
+                interest: InterestTable::new(None),
+                subjects: SubjectTable::new(),
             }
-        ));
+        }
+
+        fn frame(
+            &mut self,
+            now: Micros,
+            conn: ConnId,
+            frame: SessionFrame,
+        ) -> (Vec<SessOut>, Delta) {
+            self.broker
+                .handle_frame(now, conn, frame, &mut self.interest)
+        }
+
+        fn open(&mut self, conn: ConnId, now: Micros) {
+            let out = self.frame(now, conn, hello(9)).0;
+            assert!(matches!(
+                out[0],
+                SessOut::Send {
+                    frame: SessionFrame::Welcome { .. },
+                    ..
+                }
+            ));
+        }
+
+        /// Matches `subject` in the table and hands each accepting
+        /// subscription's session the delivery (every session here has
+        /// one subscription per subject). Returns the frames sent.
+        fn publish(&mut self, subject: &str, value: Value) -> Vec<(ConnId, SessionFrame)> {
+            let subject = self.subjects.intern(subject).unwrap();
+            let mut conns = Vec::new();
+            self.interest.deliver(
+                &subject,
+                1,
+                &mut None,
+                || Some(value.clone()),
+                |&c| {
+                    conns.push(c);
+                    false
+                },
+            );
+            let broker = &mut self.broker;
+            conns
+                .into_iter()
+                .filter_map(|c| Some((c, broker.deliver(c, subject.as_str(), b"p", false)?)))
+                .collect()
+        }
+
+        fn stats(&self) -> BusStats {
+            let mut s = BusStats::default();
+            self.broker.stats_into(&mut s);
+            self.interest.fold_into(&mut s);
+            s
+        }
+    }
+
+    fn cursor(frame: &SessionFrame) -> u64 {
+        match frame {
+            SessionFrame::Deliver { cursor, .. } => *cursor,
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn capability_gate() {
-        let mut b = SessionBroker::new(&cfg(), 9);
-        let out = b.handle_frame(0, ConnId(1), hello(8));
+        let mut p = Plane::new();
+        let out = p.frame(0, ConnId(1), hello(8)).0;
         assert!(matches!(
             out[0],
             SessOut::Send {
@@ -514,79 +538,72 @@ mod tests {
             }
         ));
         assert!(matches!(out[1], SessOut::Closed { .. }));
-        assert_eq!(b.active(), 0);
-        let mut s = BusStats::default();
-        b.stats_into(&mut s);
-        assert_eq!(s.sess_rejected, 1);
+        assert_eq!(p.broker.active(), 0);
+        assert_eq!(p.stats().sess_rejected, 1);
     }
 
     #[test]
     fn deliveries_are_cursor_stamped_per_session() {
-        let mut b = SessionBroker::new(&cfg(), 9);
-        open(&mut b, ConnId(1), 0);
-        let out = b.handle_frame(
-            0,
-            ConnId(1),
-            SessionFrame::Subscribe {
-                sub: 1,
-                filter: "m.>".into(),
-                pred: vec![],
-            },
-        );
-        assert_eq!(out, vec![SessOut::FilterAdded("m.>".into())]);
-        let subject = Subject::new("m.x").unwrap();
+        let mut p = Plane::new();
+        p.open(ConnId(1), 0);
+        let (out, delta) = p.frame(0, ConnId(1), subscribe(1, "m.>"));
+        assert!(out.is_empty());
+        assert_eq!(delta, (vec!["m.>".to_owned()], vec![]));
         for want in 1..=3u64 {
-            let out = b.on_deliver(&subject, "m.x", b"p", false, &mut || None).0;
-            match &out[0] {
-                SessOut::Send {
-                    frame: SessionFrame::Deliver { cursor, .. },
-                    ..
-                } => assert_eq!(*cursor, want),
-                other => panic!("{other:?}"),
-            }
+            let sent = p.publish("m.x", Value::Nil);
+            assert_eq!(sent.len(), 1);
+            assert_eq!(cursor(&sent[0].1), want);
             // Keep the window open.
-            b.handle_frame(0, ConnId(1), SessionFrame::Ack { cursor: want });
+            p.frame(0, ConnId(1), SessionFrame::Ack { cursor: want });
         }
     }
 
     #[test]
-    fn backpressure_pauses_then_drops_oldest() {
-        let mut b = SessionBroker::new(&cfg(), 9); // lag 4, backlog cap 16
-        open(&mut b, ConnId(1), 0);
-        b.handle_frame(
+    fn session_predicates_gate_in_the_table() {
+        let mut p = Plane::new();
+        p.open(ConnId(1), 0);
+        let pred = CompiledPredicate::compile(&Predicate::ge("", Value::I64(10))).unwrap();
+        let (_, delta) = p.frame(
             0,
             ConnId(1),
             SessionFrame::Subscribe {
                 sub: 1,
-                filter: "m.x".into(),
-                pred: vec![],
+                filter: "q.>".into(),
+                pred: pred.to_bytes(),
             },
         );
-        let subject = Subject::new("m.x").unwrap();
+        // The session's predicate is what the table announces.
+        assert_eq!(delta.0, vec!["q.>".to_owned()]);
+        let entry = p.interest.announce_entry("q.>").unwrap();
+        assert_eq!(entry.pred, pred.to_bytes());
+        assert!(p.publish("q.x", Value::I64(3)).is_empty());
+        assert_eq!(p.publish("q.x", Value::I64(30)).len(), 1);
+        let s = p.stats();
+        assert_eq!((s.filt_delivery_suppressed, s.sess_delivered), (1, 1));
+    }
+
+    #[test]
+    fn backpressure_pauses_then_drops_oldest() {
+        let mut p = Plane::new(); // lag 4, backlog cap 16
+        p.open(ConnId(1), 0);
+        p.frame(0, ConnId(1), subscribe(1, "m.x"));
         let mut sent = 0;
         for _ in 0..40 {
-            sent += b
-                .on_deliver(&subject, "m.x", b"p", false, &mut || None)
-                .0
-                .len();
+            sent += p.publish("m.x", Value::Nil).len();
         }
         // Lag ceiling 4: exactly 4 sent, the rest buffered/dropped.
         assert_eq!(sent, 4);
-        let mut s = BusStats::default();
-        b.stats_into(&mut s);
+        let s = p.stats();
         assert_eq!(s.sess_paused, 1);
         // 36 buffered candidates into a 16-slot backlog → 20 dropped.
         assert_eq!(s.sess_dropped, 20);
         // Ack everything sent: backlog flushes 4 more (window size).
-        let out = b.handle_frame(0, ConnId(1), SessionFrame::Ack { cursor: 4 });
+        let out = p.frame(0, ConnId(1), SessionFrame::Ack { cursor: 4 }).0;
         let cursors: Vec<u64> = out
             .iter()
-            .filter_map(|o| match o {
-                SessOut::Send {
-                    frame: SessionFrame::Deliver { cursor, .. },
-                    ..
-                } => Some(*cursor),
-                _ => None,
+            .map(|o| match o {
+                SessOut::Send { frame, .. } => cursor(frame),
+                other => panic!("{other:?}"),
             })
             .collect();
         assert_eq!(cursors, vec![5, 6, 7, 8]);
@@ -594,12 +611,13 @@ mod tests {
 
     #[test]
     fn heartbeat_timeout_evicts() {
-        let mut b = SessionBroker::new(&cfg(), 9);
-        open(&mut b, ConnId(1), 0);
-        open(&mut b, ConnId(2), 0);
+        let mut p = Plane::new();
+        p.open(ConnId(1), 0);
+        p.open(ConnId(2), 0);
+        p.frame(0, ConnId(1), subscribe(1, "m.>"));
         // Session 2 stays fresh; session 1 goes silent.
-        b.handle_frame(2_500, ConnId(2), SessionFrame::Heartbeat);
-        let out = b.on_tick(3_500);
+        p.frame(2_500, ConnId(2), SessionFrame::Heartbeat);
+        let (out, delta) = p.broker.on_tick(3_500, &mut p.interest);
         assert!(matches!(
             out[0],
             SessOut::Send {
@@ -608,35 +626,46 @@ mod tests {
             }
         ));
         assert!(matches!(out[1], SessOut::Closed { conn: ConnId(1) }));
-        assert_eq!(b.active(), 1);
-        let mut s = BusStats::default();
-        b.stats_into(&mut s);
+        assert_eq!(delta, (vec![], vec!["m.>".to_owned()]));
+        assert_eq!(p.broker.active(), 1);
+        let s = p.stats();
         assert_eq!((s.sess_evicted, s.sess_active), (1, 1));
     }
 
     #[test]
     fn bye_releases_filters() {
-        let mut b = SessionBroker::new(&cfg(), 9);
-        open(&mut b, ConnId(1), 0);
-        b.handle_frame(
-            0,
-            ConnId(1),
-            SessionFrame::Subscribe {
-                sub: 1,
-                filter: "m.>".into(),
-                pred: vec![],
-            },
-        );
-        let out = b.handle_frame(1, ConnId(1), SessionFrame::Bye);
-        assert!(out.contains(&SessOut::FilterRemoved("m.>".into())));
+        let mut p = Plane::new();
+        p.open(ConnId(1), 0);
+        p.open(ConnId(2), 0);
+        p.frame(0, ConnId(1), subscribe(1, "m.>"));
+        // A second holder of the filter changes no announcement.
+        let (_, delta) = p.frame(0, ConnId(2), subscribe(1, "m.>"));
+        assert_eq!(delta, (vec![], vec![]));
+        let (out, delta) = p.frame(1, ConnId(1), SessionFrame::Bye);
+        assert_eq!(delta, (vec![], vec![]));
         assert!(out.contains(&SessOut::Closed { conn: ConnId(1) }));
-        assert!(b.filter_refs.is_empty());
+        // The last holder leaving withdraws it.
+        let (_, delta) = p.frame(1, ConnId(2), SessionFrame::Bye);
+        assert_eq!(delta, (vec![], vec!["m.>".to_owned()]));
+        assert!(p.interest.is_empty());
+    }
+
+    #[test]
+    fn reused_sub_id_replaces_the_subscription() {
+        let mut p = Plane::new();
+        p.open(ConnId(1), 0);
+        p.frame(0, ConnId(1), subscribe(1, "a.>"));
+        let (_, delta) = p.frame(0, ConnId(1), subscribe(1, "b.>"));
+        assert_eq!(delta, (vec!["b.>".to_owned()], vec!["a.>".to_owned()]));
+        assert_eq!(p.interest.len(), 1);
+        let (_, delta) = p.frame(0, ConnId(1), SessionFrame::Unsubscribe { sub: 1 });
+        assert_eq!(delta, (vec![], vec!["b.>".to_owned()]));
     }
 
     #[test]
     fn frames_without_session_get_evict_notice() {
-        let mut b = SessionBroker::new(&cfg(), 9);
-        let out = b.handle_frame(0, ConnId(5), SessionFrame::Heartbeat);
+        let mut p = Plane::new();
+        let out = p.frame(0, ConnId(5), SessionFrame::Heartbeat).0;
         assert!(matches!(
             out[0],
             SessOut::Send {
@@ -644,5 +673,7 @@ mod tests {
                 ..
             }
         ));
+        // The driver is told to forget the sender.
+        assert_eq!(out[1], SessOut::Closed { conn: ConnId(5) });
     }
 }

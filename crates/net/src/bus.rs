@@ -24,10 +24,11 @@
 //! map entry and a cursor, never a thread, which is what lets one daemon
 //! host 100k+ sessions (see the `stadium` bench).
 //!
-//! Lock order is `engine → {interest, sessions, peers, timers, nv}`;
-//! none of the inner locks is ever held while taking the engine lock or
-//! another inner lock, so the publish path (caller thread) and the
-//! reader thread cannot deadlock.
+//! Lock order is `engine → sessions → {interest, peers, timers, nv}`:
+//! the broker files session subscriptions in the interest table while
+//! its lock is held. No other inner lock is ever held while taking the
+//! engine lock or another inner lock, so the publish path (caller
+//! thread) and the reader thread cannot deadlock.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -48,7 +49,7 @@ use infobus_core::{
     BufPool, Bus, BusConfig, BusError, BusReceiver, Bytes, CompiledPredicate, Delivery, Envelope,
     EnvelopeKind, InterestTable, NvStore, Predicate, QoS, SubscriptionHandle,
 };
-use infobus_subject::{InternedSubject, SubjectFilter, SubjectTable, SubscriptionId};
+use infobus_subject::{InternedSubject, SubjectTable};
 use infobus_types::{wire, TypeRegistry, Value};
 
 use crate::broker::{ConnId, SessOut, SessionBroker};
@@ -219,8 +220,14 @@ pub type NetSubscription = SubscriptionHandle;
 enum Sink {
     /// An API subscriber's queue.
     Queue(SubSender<NetMessage>),
-    /// The thin-client sessions on one filter; the broker fans out.
-    Sessions,
+    /// A thin-client session; the broker stamps and sends.
+    Session(ConnId),
+}
+
+impl From<ConnId> for Sink {
+    fn from(conn: ConnId) -> Sink {
+        Sink::Session(conn)
+    }
 }
 
 /// The thin-client session plane: the broker plus its transport
@@ -230,8 +237,6 @@ struct Sessions {
     by_addr: HashMap<SocketAddr, ConnId>,
     by_conn: HashMap<ConnId, SocketAddr>,
     last_conn: u64,
-    /// Each filter some session holds → its [`Sink::Sessions`] entry.
-    filters: HashMap<String, SubscriptionId>,
     next_scan: Micros,
 }
 
@@ -340,7 +345,6 @@ impl UdpBus {
                 by_addr: HashMap::new(),
                 by_conn: HashMap::new(),
                 last_conn: 0,
-                filters: HashMap::new(),
                 next_scan: clock.now_us() + cfg.bus.heartbeat_period_us,
             })
         });
@@ -771,8 +775,8 @@ impl Inner {
         );
     }
 
-    /// A full `SubAnnounce` of every local filter with its combined
-    /// announced predicate (session filters announce unfiltered).
+    /// A full `SubAnnounce` of every local filter, session filters
+    /// included, with its combined announced predicate.
     fn full_announce(&self) -> Packet {
         Packet::SubAnnounce {
             host: self.host,
@@ -839,54 +843,51 @@ impl Inner {
     }
 
     /// Hands an envelope to every matching subscriber queue and session.
-    /// Subject and payload are shared handles — fan-out copies no bytes.
-    /// Returns `(delivered, suppressed)`: subscriptions (or sessions)
-    /// whose predicate rejects the payload are skipped and, for
-    /// guaranteed QoS, still count as consumption. The payload is
-    /// unmarshalled at most once, and only when a predicate needs it.
+    /// Subject and payload are shared handles — queue fan-out copies no
+    /// bytes. Returns `(delivered, suppressed)`: subscriptions whose
+    /// predicate rejects the payload are skipped and, for guaranteed
+    /// QoS, still count as consumption. The payload is unmarshalled at
+    /// most once, and only when a predicate needs it.
     fn fan_out(&self, stats: &mut BusStats, env: &Envelope) -> (usize, usize) {
-        let mut sessions = false;
-        let mut value = None;
-        let (mut count, mut suppressed) = self.interest().deliver(
+        let mut conns = Vec::new();
+        let (mut count, suppressed) = self.interest().deliver(
             &env.subject,
             env.payload.len(),
-            &mut value,
+            &mut None,
             || self.unmarshal(&env.payload),
             |sink| match sink {
                 Sink::Queue(tx) => tx.send(Delivery::of(env)).is_ok(),
-                Sink::Sessions => {
-                    sessions = true;
+                Sink::Session(conn) => {
+                    conns.push(*conn);
                     false
                 }
             },
         );
         stats.delivered += count as u64;
         stats.delivered_bytes += (env.payload.len() * count) as u64;
-        if sessions {
-            // The broker stamps cursors, applies backpressure, and gates
-            // predicated session subscriptions, reusing the value the
-            // queue fan-out may already have unmarshalled; all this
-            // driver performs are the resulting sends.
-            let mut value_of = || value.take().unwrap_or_else(|| self.unmarshal(&env.payload));
-            let sessions = self
-                .sessions
-                .as_ref()
-                .expect("a session sink implies sessions");
-            let (outs, rejected) = poisoned(sessions.lock()).broker.on_deliver(
-                &env.subject,
-                env.subject.as_str(),
-                &env.payload,
-                env.redelivery,
-                &mut value_of,
-            );
-            suppressed += rejected;
-            for out in outs {
-                if let SessOut::Send { conn, frame } = out {
-                    self.send_session_frame(conn, &frame, stats);
-                    count += 1;
-                }
-            }
+        if conns.is_empty() {
+            return (count, suppressed);
         }
+        let sessions = self
+            .sessions
+            .as_ref()
+            .expect("a session sink implies sessions");
+        // One copy per session, however many of its subscriptions
+        // matched; the broker stamps cursors and applies backpressure.
+        conns.sort_unstable();
+        conns.dedup();
+        let sends: Vec<(ConnId, SessionFrame)> = {
+            let broker = &mut poisoned(sessions.lock()).broker;
+            let text = env.subject.as_str();
+            conns
+                .into_iter()
+                .filter_map(|c| Some((c, broker.deliver(c, text, &env.payload, env.redelivery)?)))
+                .collect()
+        };
+        for (conn, frame) in &sends {
+            self.send_session_frame(*conn, frame, stats);
+        }
+        count += sends.len();
         (count, suppressed)
     }
 
@@ -964,7 +965,10 @@ impl Inner {
             s.next_scan = now + s.broker.scan_period_us();
         }
         let mut engine = poisoned(self.engine.lock());
-        let outs = poisoned(sessions.lock()).broker.on_tick(now);
+        let (outs, delta) = poisoned(sessions.lock())
+            .broker
+            .on_tick(now, &mut self.interest());
+        self.announce(delta, &mut engine.stats);
         self.perform_sess_outs(&mut engine, now, outs);
     }
 
@@ -987,8 +991,8 @@ impl Inner {
         }
     }
 
-    /// Performs broker actions: sends, fan-in publishes, session
-    /// interest changes, and forgotten connections.
+    /// Performs broker actions: sends, fan-in publishes, and forgotten
+    /// connections.
     fn perform_sess_outs(&self, engine: &mut ShardedEngine, now: Micros, outs: Vec<SessOut>) {
         let sessions = self
             .sessions
@@ -1011,25 +1015,6 @@ impl Inner {
                     if let Ok(subject) = subject {
                         let payload = Bytes::from(payload);
                         self.publish_payload(engine, now, &self.source, &subject, qos, payload);
-                    }
-                }
-                // Session interest enters the interest table as one
-                // unfiltered entry per filter (the broker gates each
-                // session at fan-out), so it is announced like any
-                // other subscription.
-                SessOut::FilterAdded(f) => {
-                    let Ok(filter) = SubjectFilter::new(&f) else {
-                        continue;
-                    };
-                    let (id, delta) = self.interest().insert(&filter, Sink::Sessions, now, None);
-                    poisoned(sessions.lock()).filters.insert(f, id);
-                    self.announce(delta, &mut engine.stats);
-                }
-                SessOut::FilterRemoved(f) => {
-                    let id = poisoned(sessions.lock()).filters.remove(&f);
-                    if let Some(id) = id {
-                        let delta = self.interest().unsubscribe(id);
-                        self.announce(delta, &mut engine.stats);
                     }
                 }
                 SessOut::Closed { conn } => {
@@ -1057,11 +1042,13 @@ impl Inner {
             };
             engine.stats.net_rx_packets += 1;
             engine.stats.net_rx_bytes += datagram.len() as u64;
-            let outs = {
+            let (outs, delta) = {
                 let mut s = poisoned(sessions.lock());
                 let conn = s.conn_for(src);
-                s.broker.handle_frame(now, conn, frame)
+                s.broker
+                    .handle_frame(now, conn, frame, &mut self.interest())
             };
+            self.announce(delta, &mut engine.stats);
             self.perform_sess_outs(&mut engine, now, outs);
             return;
         }
@@ -1334,5 +1321,33 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    #[test]
+    fn session_frames_from_unknown_senders_leave_no_mapping() {
+        let edge = UdpBus::bind(UdpConfig::new(1).with_session_token(7)).unwrap();
+        let sockets: Vec<UdpSocket> = (0..50)
+            .map(|_| UdpSocket::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let heartbeat = encode_session_frame(&SessionFrame::Heartbeat);
+        let mut buf = [0u8; 1024];
+        for sock in &sockets {
+            sock.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            sock.send_to(&heartbeat, edge.local_addr()).unwrap();
+            let n = sock.recv(&mut buf).expect("evict notice");
+            let frame = decode_session_frame(&buf[..n]).unwrap();
+            assert!(matches!(frame, SessionFrame::Evict { .. }), "{frame:?}");
+        }
+        // The reader handles a datagram under the engine lock, so holding
+        // it here means every reply's handling has finished.
+        let _engine = poisoned(edge.inner.engine.lock());
+        let s = poisoned(edge.inner.sessions.as_ref().unwrap().lock());
+        let (addrs, conns) = (s.by_addr.len(), s.by_conn.len());
+        assert!(
+            addrs == 0 && conns == 0,
+            "by_addr={addrs} by_conn={conns} active={}",
+            s.broker.active()
+        );
     }
 }

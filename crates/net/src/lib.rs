@@ -47,7 +47,8 @@
 //! magic, same socket), and the sans-I/O [`SessionBroker`] runs them —
 //! cursor-stamped delivery, cumulative acks, heartbeat eviction,
 //! bounded backpressure — while the daemon runs the real protocol on
-//! their behalf.
+//! their behalf. Their subscriptions are entries in the daemon's one
+//! interest table, next to the API subscriptions.
 //!
 //! # Example
 //!

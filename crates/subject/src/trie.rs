@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::{FilterElement, Subject, SubjectFilter};
 
@@ -32,18 +33,23 @@ pub struct SubscriptionId(pub u64);
 #[derive(Debug, Clone)]
 pub struct SubjectTrie<T> {
     root: Node<T>,
+    /// Each subscription's filter (shared by every entry of one node
+    /// list) and its position in that list, so removal walks only that
+    /// filter's path.
+    index: HashMap<SubscriptionId, (Arc<SubjectFilter>, usize)>,
     next_id: u64,
-    len: usize,
 }
+
+type Entries<T> = Vec<(SubscriptionId, T)>;
 
 #[derive(Debug, Clone)]
 struct Node<T> {
     literals: HashMap<String, Node<T>>,
     any_one: Option<Box<Node<T>>>,
     /// Subscriptions whose filter ends with `>` at this node.
-    tail_subs: Vec<(SubscriptionId, SubjectFilter, T)>,
+    tail_subs: Entries<T>,
     /// Subscriptions whose filter ends exactly at this node.
-    exact_subs: Vec<(SubscriptionId, SubjectFilter, T)>,
+    exact_subs: Entries<T>,
 }
 
 impl<T> Default for Node<T> {
@@ -77,19 +83,19 @@ impl<T> SubjectTrie<T> {
     pub fn new() -> Self {
         SubjectTrie {
             root: Node::default(),
+            index: HashMap::new(),
             next_id: 0,
-            len: 0,
         }
     }
 
     /// Returns the number of stored subscriptions.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// Returns `true` if the trie holds no subscriptions.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.index.is_empty()
     }
 
     /// Inserts a subscription and returns its identifier.
@@ -107,14 +113,18 @@ impl<T> SubjectTrie<T> {
     ) -> (SubscriptionId, impl Iterator<Item = (SubscriptionId, &T)>) {
         let id = SubscriptionId(self.next_id);
         self.next_id += 1;
-        self.len += 1;
         let mut node = &mut self.root;
         let elements = filter.elements();
         let mut tail = false;
         for (i, elem) in elements.iter().enumerate() {
             match elem {
                 FilterElement::Literal(lit) => {
-                    node = node.literals.entry(lit.clone()).or_default();
+                    // Not `entry`: it would clone the key even when the
+                    // node exists.
+                    if !node.literals.contains_key(lit) {
+                        node.literals.insert(lit.clone(), Node::default());
+                    }
+                    node = node.literals.get_mut(lit).expect("just inserted");
                 }
                 FilterElement::AnyOne => {
                     node = node.any_one.get_or_insert_with(Box::default);
@@ -130,8 +140,13 @@ impl<T> SubjectTrie<T> {
         } else {
             &mut node.exact_subs
         };
-        subs.push((id, filter.clone(), value));
-        (id, subs.iter().map(|(id, _, v)| (*id, v)))
+        let shared = match subs.first() {
+            Some((first, _)) => Arc::clone(&self.index[first].0),
+            None => Arc::new(filter.clone()),
+        };
+        self.index.insert(id, (shared, subs.len()));
+        subs.push((id, value));
+        (id, subs.iter().map(|(id, v)| (*id, v)))
     }
 
     /// Every subscription stored under exactly `filter` (the same
@@ -140,10 +155,10 @@ impl<T> SubjectTrie<T> {
         self.slot(filter)
             .into_iter()
             .flatten()
-            .map(|(id, _, v)| (*id, v))
+            .map(|(id, v)| (*id, v))
     }
 
-    fn slot(&self, filter: &SubjectFilter) -> Option<&[(SubscriptionId, SubjectFilter, T)]> {
+    fn slot(&self, filter: &SubjectFilter) -> Option<&Entries<T>> {
         let mut node = &self.root;
         for elem in filter.elements() {
             node = match elem {
@@ -164,48 +179,46 @@ impl<T> SubjectTrie<T> {
     }
 
     /// Removes a subscription by identifier, returning its filter and
-    /// value.
+    /// value. Walks only the subscription's own filter path.
     pub fn remove_entry(&mut self, id: SubscriptionId) -> Option<(SubjectFilter, T)> {
-        let (entry, _) = Self::remove_rec(&mut self.root, id)?;
-        self.len -= 1;
-        Some(entry)
+        let (filter, pos) = self.index.remove(&id)?;
+        let (value, moved) = Self::remove_at(&mut self.root, filter.elements(), pos);
+        if let Some(moved) = moved {
+            self.index.get_mut(&moved).expect("indexed entry").1 = pos;
+        }
+        Some((Arc::unwrap_or_clone(filter), value))
     }
 
-    #[allow(clippy::type_complexity)]
-    fn remove_rec(node: &mut Node<T>, id: SubscriptionId) -> Option<((SubjectFilter, T), bool)> {
-        if let Some(pos) = node.exact_subs.iter().position(|(sid, _, _)| *sid == id) {
-            let (_, filter, value) = node.exact_subs.swap_remove(pos);
-            return Some(((filter, value), node.is_empty()));
-        }
-        if let Some(pos) = node.tail_subs.iter().position(|(sid, _, _)| *sid == id) {
-            let (_, filter, value) = node.tail_subs.swap_remove(pos);
-            return Some(((filter, value), node.is_empty()));
-        }
-        let mut found: Option<((SubjectFilter, T), bool)> = None;
-        let mut prune_key: Option<String> = None;
-        for (key, child) in node.literals.iter_mut() {
-            if let Some((value, child_empty)) = Self::remove_rec(child, id) {
-                if child_empty {
-                    prune_key = Some(key.clone());
+    /// Removes the entry at `pos` of the node list `path` ends in,
+    /// pruning nodes it leaves empty. Returns the value and the id of
+    /// the entry moved into `pos`, if any.
+    fn remove_at(
+        node: &mut Node<T>,
+        path: &[FilterElement],
+        pos: usize,
+    ) -> (T, Option<SubscriptionId>) {
+        let subs = match path.split_first() {
+            None => &mut node.exact_subs,
+            Some((FilterElement::Tail, _)) => &mut node.tail_subs,
+            Some((FilterElement::Literal(lit), rest)) => {
+                let child = node.literals.get_mut(lit.as_str()).expect("indexed path");
+                let removed = Self::remove_at(child, rest, pos);
+                if child.is_empty() {
+                    node.literals.remove(lit.as_str());
                 }
-                found = Some((value, false));
-                break;
+                return removed;
             }
-        }
-        if let Some(key) = prune_key {
-            node.literals.remove(&key);
-        }
-        if found.is_none() {
-            if let Some(child) = node.any_one.as_deref_mut() {
-                if let Some((value, child_empty)) = Self::remove_rec(child, id) {
-                    if child_empty {
-                        node.any_one = None;
-                    }
-                    found = Some((value, false));
+            Some((FilterElement::AnyOne, rest)) => {
+                let child = node.any_one.as_deref_mut().expect("indexed path");
+                let removed = Self::remove_at(child, rest, pos);
+                if child.is_empty() {
+                    node.any_one = None;
                 }
+                return removed;
             }
-        }
-        found.map(|(value, _)| (value, node.is_empty()))
+        };
+        let (_, value) = subs.swap_remove(pos);
+        (value, subs.get(pos).map(|(id, _)| *id))
     }
 
     /// Returns all subscriptions whose filter matches `subject`.
@@ -224,13 +237,13 @@ impl<T> SubjectTrie<T> {
 
     fn match_rec<'a>(node: &'a Node<T>, rest: &[&str], out: &mut Vec<(SubscriptionId, &'a T)>) {
         if rest.is_empty() {
-            for (id, _, value) in &node.exact_subs {
+            for (id, value) in &node.exact_subs {
                 out.push((*id, value));
             }
             return;
         }
         // `>` here matches the non-empty remainder.
-        for (id, _, value) in &node.tail_subs {
+        for (id, value) in &node.tail_subs {
             out.push((*id, value));
         }
         if let Some(child) = node.literals.get(rest[0]) {
@@ -273,18 +286,25 @@ impl<T> SubjectTrie<T> {
 
     /// Visits every stored subscription as `(id, filter, value)`.
     pub fn for_each(&self, mut f: impl FnMut(SubscriptionId, &SubjectFilter, &T)) {
-        Self::visit(&self.root, &mut f);
+        self.visit(&self.root, &mut f);
     }
 
-    fn visit(node: &Node<T>, f: &mut impl FnMut(SubscriptionId, &SubjectFilter, &T)) {
-        for (id, filter, value) in node.exact_subs.iter().chain(node.tail_subs.iter()) {
-            f(*id, filter, value);
+    fn visit(&self, node: &Node<T>, f: &mut impl FnMut(SubscriptionId, &SubjectFilter, &T)) {
+        for subs in [&node.exact_subs, &node.tail_subs] {
+            // Every entry of one node list shares its filter.
+            let Some((first, _)) = subs.first() else {
+                continue;
+            };
+            let filter = &self.index[first].0;
+            for (id, value) in subs {
+                f(*id, filter, value);
+            }
         }
         for child in node.literals.values() {
-            Self::visit(child, f);
+            self.visit(child, f);
         }
         if let Some(child) = node.any_one.as_deref() {
-            Self::visit(child, f);
+            self.visit(child, f);
         }
     }
 }

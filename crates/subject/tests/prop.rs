@@ -129,8 +129,9 @@ fn trie_agrees_with_linear_scan() {
     }
 }
 
-/// Removing every subscription empties the trie; removals only affect the
-/// removed subscription.
+/// Removing every subscription, in random order, empties the trie;
+/// removals only affect the removed subscription, and a second removal
+/// of the same id finds nothing.
 #[test]
 fn trie_remove_is_precise() {
     let mut r = SimRng::seed_from_u64(5);
@@ -140,15 +141,21 @@ fn trie_remove_is_precise() {
             .collect();
         let s = subject(&mut r);
         let mut trie = SubjectTrie::new();
-        let ids: Vec<_> = filters
+        let mut ids: Vec<_> = filters
             .iter()
             .enumerate()
             .map(|(i, f)| (trie.insert(f, i), i))
             .collect();
+        // Fisher-Yates: remove in a random order.
+        for k in (1..ids.len()).rev() {
+            ids.swap(k, r.gen_range_inclusive(0, k as u64) as usize);
+        }
         let mut remaining: Vec<usize> = (0..filters.len()).collect();
         for (id, i) in ids {
-            assert_eq!(trie.remove(id), Some(i));
+            assert_eq!(trie.remove_entry(id), Some((filters[i].clone(), i)));
+            assert_eq!(trie.remove(id), None);
             remaining.retain(|&x| x != i);
+            assert_eq!(trie.len(), remaining.len());
             let mut got: Vec<usize> = trie.matches(&s).map(|(_, v)| *v).collect();
             got.sort_unstable();
             let mut want: Vec<usize> = remaining
